@@ -307,7 +307,11 @@ func buildBlocks(g *graph.Graph, asg *partition.Assignment, blocksPerWorker int)
 			}
 			// induced subgraph with out-edges (targets may leave the block)
 			if frozen && g.Directed() {
-				bld := graph.NewSubgraphBuilder(g, 2*len(b.gIdx))
+				edges := 0
+				for _, u := range b.gIdx {
+					edges += g.OutDegreeAt(u)
+				}
+				bld := graph.NewSubgraphBuilder(g, 2*len(b.gIdx), edges)
 				for _, u := range b.gIdx {
 					bld.AddVertex(u)
 				}

@@ -341,24 +341,13 @@ func (g *Graph) Clone() *Graph {
 // A frozen graph produces a frozen subgraph directly in CSR form.
 func (g *Graph) InducedSubgraph(keep map[ID]bool) *Graph {
 	if g.frozen {
-		b := NewSubgraphBuilder(g, len(keep))
-		for i := int32(0); i < int32(len(g.ids)); i++ {
-			if keep[g.ids[i]] {
-				b.AddVertex(i)
+		mask := make([]bool, len(g.ids))
+		for id, ok := range keep {
+			if i, found := g.index[id]; ok && found {
+				mask[i] = true
 			}
 		}
-		for i := int32(0); i < int32(len(g.ids)); i++ {
-			if !b.Has(i) {
-				continue
-			}
-			u := g.ids[i]
-			for _, e := range g.OutAt(i) {
-				if b.Has(e.To) && (g.directed || u <= g.ids[e.To]) {
-					b.AddEdge(i, e)
-				}
-			}
-		}
-		return b.Finish()
+		return g.InducedSubgraphMask(mask)
 	}
 	s := &Graph{directed: g.directed, index: make(map[ID]int32)}
 	for _, id := range g.ids {

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +128,11 @@ func TestInducedSubgraph(t *testing.T) {
 	if s.Label(1) != "a" || s.Label(2) != "b" {
 		t.Fatal("labels not copied")
 	}
+	// a frozen source cuts through the dense mask path, to the same graph
+	fs := g.Clone().Freeze().InducedSubgraph(map[ID]bool{1: true, 2: true, 3: false})
+	if !fs.Frozen() || !bytes.Equal(AppendGraph(nil, fs), AppendGraph(nil, s.Freeze())) {
+		t.Fatal("frozen induced subgraph differs from the mutable one")
+	}
 }
 
 func TestSymmetrized(t *testing.T) {
@@ -164,6 +171,10 @@ func TestBFSAndNeighborhood(t *testing.T) {
 	un := g.UndirectedNeighborhood([]ID{3}, 1)
 	if !un[2] || un[1] {
 		t.Fatalf("undirected neighborhood wrong: %v", un)
+	}
+	f := g.Clone().Freeze()
+	if !reflect.DeepEqual(f.Neighborhood([]ID{0}, 2), nb) || !reflect.DeepEqual(f.UndirectedNeighborhood([]ID{3}, 1), un) {
+		t.Fatal("frozen neighborhoods differ from the mutable ones")
 	}
 	if d := g.Diameter(0); d != 3 {
 		t.Fatalf("eccentricity from 0 should be 3, got %d", d)

@@ -1,13 +1,16 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // SubgraphBuilder assembles a frozen subgraph of a frozen source graph
 // without touching the mutable build API: vertices and edges are identified
 // by the source graph's dense indices and interned labels, remapped through
 // flat arrays, so copying a fragment costs one hash per vertex (the new
 // graph's own ID index) and zero per edge. partition.Build and
-// InducedSubgraph use it to cut fragments straight into CSR form.
+// InducedSubgraphMask use it to cut fragments straight into CSR form.
 //
 // Usage: add vertices (idempotent, in the order their dense indices should
 // come out), then stream edges in any order; Finish counting-sorts the
@@ -29,13 +32,30 @@ type SubgraphBuilder struct {
 }
 
 // NewSubgraphBuilder returns a builder for a subgraph of src, which must be
-// frozen. sizeHint sizes the vertex index.
-func NewSubgraphBuilder(src *Graph, sizeHint int) *SubgraphBuilder {
+// frozen. vertices and edges are the expected numbers of AddVertex and
+// AddEdge calls; they size the vertex arrays and the edge stream up front,
+// and a wrong guess costs only reallocation.
+func NewSubgraphBuilder(src *Graph, vertices, edges int) *SubgraphBuilder {
 	local := make([]int32, src.NumVertices())
 	for i := range local {
 		local[i] = -1
 	}
-	return &SubgraphBuilder{src: src, index: make(map[ID]int32, sizeHint), local: local}
+	if !src.directed {
+		edges *= 2 // AddEdge stores the mirror direction too
+	}
+	return &SubgraphBuilder{
+		src:   src,
+		ids:   make([]ID, 0, vertices),
+		lbl:   make([]string, 0, vertices),
+		props: make([][]string, 0, vertices),
+		vlab:  make([]int32, 0, vertices),
+		index: make(map[ID]int32, vertices),
+		local: local,
+		esrc:  make([]int32, 0, edges),
+		eto:   make([]int32, 0, edges),
+		elab:  make([]int32, 0, edges),
+		ew:    make([]float64, 0, edges),
+	}
 }
 
 // Has reports whether the vertex at source dense index i has been added.
@@ -145,6 +165,42 @@ func (b *SubgraphBuilder) Finish() *Graph {
 	return g
 }
 
+// InducedSubgraphMask returns the subgraph of a frozen graph induced by a
+// mask over its dense indices: the vertices set in keep, in dense order, and
+// every edge whose endpoints are both kept. Labels and properties are copied.
+// The subgraph comes out frozen, in CSR form, without hashing a single
+// source vertex.
+func (g *Graph) InducedSubgraphMask(keep []bool) *Graph {
+	nv, degrees := 0, 0
+	for i, ok := range keep {
+		if ok {
+			nv++
+			degrees += g.OutDegreeAt(int32(i))
+		}
+	}
+	if !g.directed {
+		degrees /= 2 // each kept edge sits in the adjacency of both endpoints
+	}
+	b := NewSubgraphBuilder(g, nv, degrees)
+	for i, ok := range keep {
+		if ok {
+			b.AddVertex(int32(i))
+		}
+	}
+	for i, ok := range keep {
+		if !ok {
+			continue
+		}
+		u := g.ids[i]
+		for _, e := range g.OutAt(int32(i)) {
+			if keep[e.To] && (g.directed || u <= g.ids[e.To]) {
+				b.AddEdge(int32(i), e)
+			}
+		}
+	}
+	return b.Finish()
+}
+
 // SortedIndices returns the graph's dense vertex indices ordered by
 // ascending vertex ID — the dense counterpart of SortedVertices (a fresh
 // slice).
@@ -153,6 +209,6 @@ func (g *Graph) SortedIndices() []int32 {
 	for i := range out {
 		out[i] = int32(i)
 	}
-	sort.Slice(out, func(a, b int) bool { return g.ids[out[a]] < g.ids[out[b]] })
+	slices.SortFunc(out, func(a, b int32) int { return cmp.Compare(g.ids[a], g.ids[b]) })
 	return out
 }

@@ -28,36 +28,33 @@ func (g *Graph) BFS(src ID, visit func(id ID, depth int) bool) {
 // Neighborhood returns the set of vertices within d hops of each seed
 // (following out-edges), including the seeds themselves.
 func (g *Graph) Neighborhood(seeds []ID, d int) map[ID]bool {
-	if g.frozen {
-		return g.neighborhoodIdx(seeds, d, false)
-	}
-	seen := make(map[ID]bool, len(seeds))
-	frontier := make([]ID, 0, len(seeds))
-	for _, s := range seeds {
-		if g.Has(s) && !seen[s] {
-			seen[s] = true
-			frontier = append(frontier, s)
-		}
-	}
-	for hop := 0; hop < d && len(frontier) > 0; hop++ {
-		var next []ID
-		for _, u := range frontier {
-			for _, e := range g.Out(u) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-		}
-		frontier = next
-	}
-	return seen
+	return g.neighborhood(seeds, d, false)
 }
 
 // UndirectedNeighborhood is Neighborhood following both edge directions.
 func (g *Graph) UndirectedNeighborhood(seeds []ID, d int) map[ID]bool {
+	return g.neighborhood(seeds, d, true)
+}
+
+// neighborhood is Neighborhood, or with undirected UndirectedNeighborhood. A
+// frozen graph hashes only to resolve the seeds and build the result set
+// around NeighborhoodMask.
+func (g *Graph) neighborhood(seeds []ID, d int, undirected bool) map[ID]bool {
 	if g.frozen {
-		return g.neighborhoodIdx(seeds, d, true)
+		idx := make([]int32, 0, len(seeds))
+		for _, s := range seeds {
+			if i, ok := g.index[s]; ok {
+				idx = append(idx, i)
+			}
+		}
+		visited, n := g.NeighborhoodMask(idx, d, undirected)
+		seen := make(map[ID]bool, n)
+		for i, ok := range visited {
+			if ok {
+				seen[g.ids[i]] = true
+			}
+		}
+		return seen
 	}
 	seen := make(map[ID]bool, len(seeds))
 	frontier := make([]ID, 0, len(seeds))
@@ -69,18 +66,18 @@ func (g *Graph) UndirectedNeighborhood(seeds []ID, d int) map[ID]bool {
 	}
 	for hop := 0; hop < d && len(frontier) > 0; hop++ {
 		var next []ID
-		for _, u := range frontier {
-			for _, e := range g.Out(u) {
+		visit := func(es []Edge) {
+			for _, e := range es {
 				if !seen[e.To] {
 					seen[e.To] = true
 					next = append(next, e.To)
 				}
 			}
-			for _, e := range g.In(u) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
+		}
+		for _, u := range frontier {
+			visit(g.Out(u))
+			if undirected {
+				visit(g.In(u))
 			}
 		}
 		frontier = next
@@ -88,49 +85,41 @@ func (g *Graph) UndirectedNeighborhood(seeds []ID, d int) map[ID]bool {
 	return seen
 }
 
-// neighborhoodIdx is the frozen fast path shared by Neighborhood and
-// UndirectedNeighborhood: the BFS runs over dense indices with a flat
-// visited array, hashing only to resolve the seeds and build the result set.
-func (g *Graph) neighborhoodIdx(seeds []ID, d int, undirected bool) map[ID]bool {
+// NeighborhoodMask is the dense form of Neighborhood (or, with undirected,
+// UndirectedNeighborhood) on a frozen graph: seeds are dense indices, and the
+// result is a visited mask over dense indices, seeds included, together with
+// the number of vertices set in it. The BFS never hashes.
+func (g *Graph) NeighborhoodMask(seeds []int32, d int, undirected bool) ([]bool, int) {
 	visited := make([]bool, len(g.ids))
 	frontier := make([]int32, 0, len(seeds))
-	n := 0
-	for _, s := range seeds {
-		if i, ok := g.index[s]; ok && !visited[i] {
+	for _, i := range seeds {
+		if !visited[i] {
 			visited[i] = true
 			frontier = append(frontier, i)
-			n++
+		}
+	}
+	n := len(frontier)
+	var next []int32
+	visit := func(es []DenseEdge) {
+		for _, e := range es {
+			if !visited[e.To] {
+				visited[e.To] = true
+				next = append(next, e.To)
+			}
 		}
 	}
 	for hop := 0; hop < d && len(frontier) > 0; hop++ {
-		var next []int32
+		next = next[:0]
 		for _, u := range frontier {
-			for _, e := range g.OutAt(u) {
-				if !visited[e.To] {
-					visited[e.To] = true
-					next = append(next, e.To)
-					n++
-				}
-			}
+			visit(g.OutAt(u))
 			if undirected {
-				for _, e := range g.InAt(u) {
-					if !visited[e.To] {
-						visited[e.To] = true
-						next = append(next, e.To)
-						n++
-					}
-				}
+				visit(g.InAt(u))
 			}
 		}
-		frontier = next
+		n += len(next)
+		frontier, next = next, frontier
 	}
-	seen := make(map[ID]bool, n)
-	for i, ok := range visited {
-		if ok {
-			seen[g.ids[i]] = true
-		}
-	}
-	return seen
+	return visited, n
 }
 
 // Diameter returns the hop eccentricity of src: the maximum BFS depth reached

@@ -1,7 +1,11 @@
 package partition
 
 import (
+	"cmp"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"grape/internal/graph"
 )
@@ -29,8 +33,7 @@ type Fragment struct {
 	// of (i.e. targets of cut edges from elsewhere), ascending.
 	InnerBorder []graph.ID
 
-	inner map[graph.ID]bool
-	asg   *Assignment
+	asg *Assignment
 
 	// Dense caches over G's vertex index, built lazily after the fragment is
 	// assembled (Build/BuildExpanded/DecodeFragment finalize them eagerly).
@@ -46,7 +49,10 @@ type Fragment struct {
 }
 
 // IsInner reports whether id is owned by this fragment.
-func (f *Fragment) IsInner(id graph.ID) bool { return f.inner[id] }
+func (f *Fragment) IsInner(id graph.ID) bool {
+	i, ok := f.G.Index(id)
+	return ok && f.IsInnerAt(i)
+}
 
 // IsInnerAt reports whether the vertex at dense index i of the fragment graph
 // is owned by this fragment. Vertices appended after construction (new outer
@@ -108,7 +114,7 @@ func (f *Fragment) buildBorderCache() {
 	out := make([]graph.ID, 0, len(f.Outer)+len(f.InnerBorder))
 	out = append(out, f.Outer...)
 	out = append(out, f.InnerBorder...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	f.border = out
 	f.borderIdx = make([]int32, len(out))
 	for k, id := range out {
@@ -125,7 +131,9 @@ func (f *Fragment) buildBorderCache() {
 // BuildExpanded and DecodeFragment call it once the fragment is complete.
 func (f *Fragment) finalize() {
 	f.G.Freeze()
-	f.buildInnerCache()
+	if !f.innerOK {
+		f.buildInnerCache()
+	}
 	f.buildBorderCache()
 }
 
@@ -171,7 +179,8 @@ type Layout struct {
 	Fragments []*Fragment
 	// Placement maps each border vertex to the sorted list of fragment
 	// indices hosting it (its owner plus every fragment with an outer copy).
-	// Non-border vertices are absent: their values never travel.
+	// Non-border vertices are absent: their values never travel. The lists
+	// are shared; callers must not mutate them.
 	Placement map[graph.ID][]int
 	// ReplicationBytes estimates the data shipped to build the fragments
 	// beyond the plain edge-cut: BuildExpanded replicates d-hop
@@ -184,8 +193,8 @@ type Layout struct {
 	// Dense host index: hostList[hostOff[i]:hostOff[i+1]] is the packed,
 	// sorted host list of the vertex at dense index i of Asg.G — the owner
 	// alone for non-border vertices. The coordinator routes every changed
-	// value every superstep, so Hosts must not hash into Placement (a map of
-	// individually allocated slices) on that path.
+	// value every superstep, so Hosts must not hash into Placement on that
+	// path. Placement's entries are capacity-limited views of hostList.
 	hostOff  []int32
 	hostList []int
 	// overflow holds host lists that changed after the build: the session
@@ -203,15 +212,11 @@ func (l *Layout) Hosts(id graph.ID) []int {
 			return hs
 		}
 	}
-	if l.hostOff != nil {
-		if i, ok := l.Asg.G.Index(id); ok {
-			return l.hostList[l.hostOff[i]:l.hostOff[i+1]]
-		}
+	if i, ok := l.Asg.G.Index(id); ok {
+		a, b := l.hostOff[i], l.hostOff[i+1]
+		return l.hostList[a:b:b]
 	}
-	if hs, ok := l.Placement[id]; ok {
-		return hs
-	}
-	return []int{l.Asg.Owner(id)}
+	return []int{l.Asg.Owner(id)} // panics: id is not in the graph
 }
 
 // AddHost records that fragment w now holds a copy of id, keeping Placement
@@ -235,153 +240,52 @@ func (l *Layout) AddHost(id graph.ID, w int) {
 	l.Placement[id] = merged
 }
 
-// buildHostIndex packs Placement (plus the owner-only default) into the
-// dense arrays Hosts reads on the routing hot path.
-func (l *Layout) buildHostIndex() {
-	g := l.Asg.G
-	nv := g.NumVertices()
-	size := 0
-	for i := 0; i < nv; i++ {
-		if hs, ok := l.Placement[g.IDAt(int32(i))]; ok {
-			size += len(hs)
-		} else {
-			size++
-		}
-	}
-	l.hostOff = make([]int32, nv+1)
-	l.hostList = make([]int, 0, size)
-	for i := 0; i < nv; i++ {
-		id := g.IDAt(int32(i))
-		if hs, ok := l.Placement[id]; ok {
-			l.hostList = append(l.hostList, hs...)
-		} else {
-			l.hostList = append(l.hostList, l.Asg.Owner(id))
-		}
-		l.hostOff[i+1] = int32(len(l.hostList))
-	}
-}
-
 // Build cuts g into fragments according to asg. Every inner vertex keeps all
 // of its out-edges; remote endpoints become outer copies with labels and
-// properties replicated (matching algorithms inspect them). A frozen input
-// produces the fragments directly in CSR form via graph.SubgraphBuilder —
-// the whole cut then costs one hash per fragment vertex and zero per edge;
-// an unfrozen input goes through the mutable graph API and the fragments are
-// frozen afterwards. Both paths yield identical fragments.
+// properties replicated (matching algorithms inspect them). Each fragment is
+// cut on its own goroutine straight into CSR form via graph.SubgraphBuilder,
+// reading g by dense index only — the whole cut costs one hash per fragment
+// vertex and zero per edge. An unfrozen g is cut from a frozen clone.
 func Build(g *graph.Graph, asg *Assignment) *Layout {
-	n := asg.N
-	frags := make([]*Fragment, n)
-	placement := make(map[graph.ID][]int)
-	hasCopy := make(map[graph.ID]map[int]bool) // border vertex -> fragments with copies
-
-	if g.Frozen() {
-		builders := make([]*graph.SubgraphBuilder, n)
-		nv := g.NumVertices()
-		for i := 0; i < n; i++ {
-			frags[i] = &Fragment{Index: i, inner: make(map[graph.ID]bool, nv/n+1), asg: asg}
-			builders[i] = graph.NewSubgraphBuilder(g, nv/n+1)
-		}
-		order := g.SortedIndices()
-		// inner vertices
-		for _, i := range order {
-			w := asg.OwnerAt(i)
-			id := g.IDAt(i)
-			builders[w].AddVertex(i)
-			frags[w].inner[id] = true
-			frags[w].Inner = append(frags[w].Inner, id)
-		}
-		// edges + outer copies
-		directed := g.Directed()
-		for _, ui := range order {
-			uo := asg.OwnerAt(ui)
-			b := builders[uo]
-			u := g.IDAt(ui)
-			for _, e := range g.OutAt(ui) {
-				vo := asg.OwnerAt(e.To)
-				if !directed && vo == uo && u > g.IDAt(e.To) {
-					continue // undirected intra-fragment edge already added via the lower endpoint
+	src := frozenSource(g)
+	inner := innerLists(asg, src.SortedIndices())
+	frags := make([]*Fragment, asg.N)
+	outer := make([][]int32, asg.N)
+	perFragment(asg.N, func(w int) {
+		// The outer copies, in the order the edge scan below meets them,
+		// are collected first so the builder is sized exactly.
+		copied := make([]bool, src.NumVertices())
+		edges := 0
+		for _, ui := range inner[w] {
+			for _, e := range src.OutAt(ui) {
+				if asg.OwnerAt(e.To) != w && !copied[e.To] {
+					copied[e.To] = true
+					outer[w] = append(outer[w], e.To)
 				}
-				if vo != uo && !b.Has(e.To) {
-					b.AddVertex(e.To)
-					v := g.IDAt(e.To)
-					frags[uo].Outer = append(frags[uo].Outer, v)
-					if hasCopy[v] == nil {
-						hasCopy[v] = make(map[int]bool)
-					}
-					hasCopy[v][uo] = true
+			}
+			edges += src.OutDegreeAt(ui)
+		}
+		b := graph.NewSubgraphBuilder(src, len(inner[w])+len(outer[w]), edges)
+		for _, i := range inner[w] {
+			b.AddVertex(i)
+		}
+		for _, i := range outer[w] {
+			b.AddVertex(i)
+		}
+		directed := src.Directed()
+		for _, ui := range inner[w] {
+			u := src.IDAt(ui)
+			for _, e := range src.OutAt(ui) {
+				if !directed && asg.OwnerAt(e.To) == w && u > src.IDAt(e.To) {
+					continue // undirected intra-fragment edge already added via the lower endpoint
 				}
 				b.AddEdge(ui, e)
 			}
 		}
-		for i := 0; i < n; i++ {
-			frags[i].G = builders[i].Finish()
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			var local *graph.Graph
-			if g.Directed() {
-				local = graph.New()
-			} else {
-				local = graph.NewUndirected()
-			}
-			frags[i] = &Fragment{Index: i, G: local, inner: make(map[graph.ID]bool), asg: asg}
-		}
-		// inner vertices
-		for _, id := range g.SortedVertices() {
-			f := frags[asg.Owner(id)]
-			f.G.AddVertex(id, g.Label(id))
-			if ps := g.Props(id); len(ps) > 0 {
-				f.G.SetProps(id, append([]string(nil), ps...))
-			}
-			f.inner[id] = true
-			f.Inner = append(f.Inner, id)
-		}
-		// edges + outer copies
-		for _, u := range g.SortedVertices() {
-			uo := asg.Owner(u)
-			f := frags[uo]
-			for _, e := range g.Out(u) {
-				if !g.Directed() && u > e.To && asg.Owner(e.To) == uo {
-					continue // undirected intra-fragment edge already added via the lower endpoint
-				}
-				vo := asg.Owner(e.To)
-				if vo != uo && !f.G.Has(e.To) {
-					f.G.AddVertex(e.To, g.Label(e.To))
-					if ps := g.Props(e.To); len(ps) > 0 {
-						f.G.SetProps(e.To, append([]string(nil), ps...))
-					}
-					f.Outer = append(f.Outer, e.To)
-					if hasCopy[e.To] == nil {
-						hasCopy[e.To] = make(map[int]bool)
-					}
-					hasCopy[e.To][uo] = true
-				}
-				f.G.AddLabeledEdge(u, e.To, e.W, e.Label)
-			}
-		}
-	}
-	// Finish border bookkeeping.
-	for v, copies := range hasCopy {
-		owner := asg.Owner(v)
-		of := frags[owner]
-		of.InnerBorder = append(of.InnerBorder, v)
-		hosts := []int{owner}
-		for w := range copies {
-			hosts = append(hosts, w)
-		}
-		sort.Ints(hosts)
-		placement[v] = hosts
-	}
-	for _, f := range frags {
-		sort.Slice(f.Outer, func(i, j int) bool { return f.Outer[i] < f.Outer[j] })
-		sort.Slice(f.InnerBorder, func(i, j int) bool { return f.InnerBorder[i] < f.InnerBorder[j] })
-	}
-	for _, f := range frags {
-		f.finalize()
-	}
-	l := &Layout{Asg: asg, Fragments: frags, Placement: placement}
-	l.buildHostIndex()
-	return l
+		slices.SortFunc(outer[w], func(a, b int32) int { return cmp.Compare(src.IDAt(a), src.IDAt(b)) })
+		frags[w] = newFragment(src, asg, w, b.Finish(), inner[w], outer[w])
+	})
+	return assemble(src, asg, frags, inner, outer, 0)
 }
 
 // BuildExpanded cuts g into fragments and then expands each with the full
@@ -389,57 +293,155 @@ func Build(g *graph.Graph, asg *Assignment) *Layout {
 // every edge of g between contained vertices. This is the data-shipping
 // variant GRAPE uses for locality-bounded queries such as subgraph
 // isomorphism: matches anchored at inner vertices become entirely local, so
-// PEval is exact and IncEval terminates in one round.
+// PEval is exact and IncEval terminates in one round. Each fragment is
+// expanded on its own goroutine by a dense BFS over a frozen g (an unfrozen g
+// is cut from a frozen clone).
 func BuildExpanded(g *graph.Graph, asg *Assignment, d int) *Layout {
-	n := asg.N
-	frags := make([]*Fragment, n)
-	innerSets := make([]map[graph.ID]bool, n)
-	for i := 0; i < n; i++ {
-		innerSets[i] = make(map[graph.ID]bool)
-	}
-	for _, id := range g.Vertices() {
-		innerSets[asg.Owner(id)][id] = true
-	}
-	for i := 0; i < n; i++ {
-		seeds := make([]graph.ID, 0, len(innerSets[i]))
-		for id := range innerSets[i] {
-			seeds = append(seeds, id)
-		}
-		sort.Slice(seeds, func(a, b int) bool { return seeds[a] < seeds[b] })
-		region := g.UndirectedNeighborhood(seeds, d)
-		local := g.InducedSubgraph(region)
-		f := &Fragment{Index: i, G: local, inner: innerSets[i], asg: asg}
-		for _, id := range local.SortedVertices() {
-			if f.inner[id] {
-				f.Inner = append(f.Inner, id)
-			} else {
-				f.Outer = append(f.Outer, id)
+	src := frozenSource(g)
+	order := src.SortedIndices()
+	inner := innerLists(asg, order)
+	frags := make([]*Fragment, asg.N)
+	outer := make([][]int32, asg.N)
+	replication := make([]int64, asg.N)
+	perFragment(asg.N, func(w int) {
+		keep, _ := src.NeighborhoodMask(inner[w], d, true)
+		for _, i := range order {
+			if keep[i] && asg.OwnerAt(i) != w {
+				outer[w] = append(outer[w], i)
 			}
 		}
-		frags[i] = f
+		f := newFragment(src, asg, w, src.InducedSubgraphMask(keep), inner[w], outer[w])
+		f.buildInnerCache()
+		for li, in := range f.innerAt {
+			if !in {
+				// a replicated vertex ships its ID + label + properties, and
+				// its locally stored out-edges (ID + target + weight)
+				replication[w] += 16 + 24*int64(f.G.OutDegreeAt(int32(li)))
+			}
+		}
+		frags[w] = f
+	})
+	var total int64
+	for _, r := range replication {
+		total += r
 	}
-	placement := make(map[graph.ID][]int)
-	var replication int64
-	for i, f := range frags {
-		for _, v := range f.Outer {
-			placement[v] = append(placement[v], i)
-			// a replicated vertex ships its ID + label + properties…
-			replication += 16
-			// …and its locally stored out-edges (ID + target + weight)
-			replication += int64(len(f.G.Out(v))) * 24
+	return assemble(src, asg, frags, inner, outer, total)
+}
+
+// frozenSource returns g if it is frozen, else a frozen clone. Dense indices
+// survive Clone and Freeze, so an Assignment over g stays valid for it.
+func frozenSource(g *graph.Graph) *graph.Graph {
+	if g.Frozen() {
+		return g
+	}
+	return g.Clone().Freeze()
+}
+
+// innerLists buckets the dense indices in order (all of them, ascending by
+// vertex ID) by owner; each bucket keeps that order and is capacity-limited,
+// so appends never spill into the next.
+func innerLists(asg *Assignment, order []int32) [][]int32 {
+	off := make([]int, asg.N+1)
+	for w, s := range asg.Sizes() {
+		off[w+1] = off[w] + s
+	}
+	packed := make([]int32, len(order))
+	next := append([]int(nil), off[:asg.N]...)
+	for _, i := range order {
+		w := asg.OwnerAt(i)
+		packed[next[w]] = i
+		next[w]++
+	}
+	lists := make([][]int32, asg.N)
+	for w := range lists {
+		lists[w] = packed[off[w]:off[w+1]:off[w+1]]
+	}
+	return lists
+}
+
+// perFragment runs build(w) for every fragment w, each on its own goroutine,
+// and returns once all have finished. At most GOMAXPROCS run at a time: each
+// holds scratch sized to the whole source graph.
+func perFragment(n int, build func(w int)) {
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for w := 0; w < n; w++ {
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			build(w)
+		}()
+	}
+	wg.Wait()
+}
+
+// newFragment wraps the frozen fragment graph local of fragment w, whose
+// inner and outer vertices are given as source dense indices ascending by ID.
+func newFragment(src *graph.Graph, asg *Assignment, w int, local *graph.Graph, inner, outer []int32) *Fragment {
+	return &Fragment{Index: w, G: local, Inner: idsAt(src, inner), Outer: idsAt(src, outer), asg: asg}
+}
+
+// idsAt maps dense indices of g to vertex IDs; none maps to nil.
+func idsAt(g *graph.Graph, idx []int32) []graph.ID {
+	if len(idx) == 0 {
+		return nil
+	}
+	ids := make([]graph.ID, len(idx))
+	for k, i := range idx {
+		ids[k] = g.IDAt(i)
+	}
+	return ids
+}
+
+// assemble finishes a layout from its cut fragments: outer[w] lists the
+// source dense indices of fragment w's outer copies. A vertex copied
+// anywhere is a border vertex; its hosts are its owner plus every fragment
+// holding a copy, packed per dense index into the host list that Hosts reads
+// and that Placement's entries are capacity-limited views of.
+func assemble(g *graph.Graph, asg *Assignment, frags []*Fragment, inner, outer [][]int32, replication int64) *Layout {
+	nv := g.NumVertices()
+	hostOff := make([]int32, nv+1)
+	for _, out := range outer {
+		for _, i := range out {
+			hostOff[i+1]++
 		}
 	}
-	for v, hosts := range placement {
-		owner := asg.Owner(v)
-		frags[owner].InnerBorder = append(frags[owner].InnerBorder, v)
-		placement[v] = append(hosts, owner)
-		sort.Ints(placement[v])
+	borders := 0
+	for i := 0; i < nv; i++ {
+		if hostOff[i+1] > 0 {
+			borders++
+		}
+		hostOff[i+1] += hostOff[i] + 1
 	}
-	for _, f := range frags {
-		sort.Slice(f.InnerBorder, func(i, j int) bool { return f.InnerBorder[i] < f.InnerBorder[j] })
+	hostList := make([]int, hostOff[nv])
+	next := append([]int32(nil), hostOff[:nv]...)
+	for w, out := range outer {
+		for _, i := range out {
+			hostList[next[i]] = w
+			next[i]++
+		}
+	}
+	placement := make(map[graph.ID][]int, borders)
+	for i := 0; i < nv; i++ {
+		// the copies are ascending; slot the owner in
+		a, k, o := hostOff[i], next[i], asg.OwnerAt(int32(i))
+		for ; k > a && hostList[k-1] > o; k-- {
+			hostList[k] = hostList[k-1]
+		}
+		hostList[k] = o
+		if b := hostOff[i+1]; b-a > 1 {
+			placement[g.IDAt(int32(i))] = hostList[a:b:b]
+		}
+	}
+	perFragment(len(frags), func(w int) {
+		f := frags[w]
+		for _, i := range inner[w] {
+			if hostOff[i+1]-hostOff[i] > 1 {
+				f.InnerBorder = append(f.InnerBorder, g.IDAt(i))
+			}
+		}
 		f.finalize()
-	}
-	l := &Layout{Asg: asg, Fragments: frags, Placement: placement, ReplicationBytes: replication}
-	l.buildHostIndex()
-	return l
+	})
+	return &Layout{Asg: asg, Fragments: frags, Placement: placement, ReplicationBytes: replication, hostOff: hostOff, hostList: hostList}
 }

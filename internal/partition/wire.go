@@ -45,6 +45,9 @@ func DecodeFragment(data []byte) (*Fragment, int, error) {
 	if n == 0 {
 		return nil, 0, fmt.Errorf("partition: fragment encodes zero workers")
 	}
+	if idx >= n {
+		return nil, 0, fmt.Errorf("partition: fragment %d of %d workers", idx, n)
+	}
 	g, used, err := graph.DecodeGraph(data[pos:])
 	if err != nil {
 		return nil, 0, err
@@ -61,7 +64,7 @@ func DecodeFragment(data []byte) (*Fragment, int, error) {
 		}
 		asg.SetOwner(id, int(w))
 	}
-	f := &Fragment{Index: int(idx), G: g, inner: make(map[graph.ID]bool), asg: asg}
+	f := &Fragment{Index: int(idx), G: g, asg: asg}
 	if f.Inner, err = decodeIDList(data, &pos); err != nil {
 		return nil, 0, err
 	}
@@ -75,9 +78,19 @@ func DecodeFragment(data []byte) (*Fragment, int, error) {
 		if !g.Has(id) {
 			return nil, 0, fmt.Errorf("partition: inner vertex %d missing from fragment graph", id)
 		}
-		f.inner[id] = true
+		if w := asg.Owner(id); w != f.Index {
+			return nil, 0, fmt.Errorf("partition: inner vertex %d of fragment %d owned by worker %d", id, f.Index, w)
+		}
 	}
-	for _, id := range append(append([]graph.ID(nil), f.Outer...), f.InnerBorder...) {
+	for _, id := range f.Outer {
+		if !g.Has(id) {
+			return nil, 0, fmt.Errorf("partition: border vertex %d missing from fragment graph", id)
+		}
+		if asg.Owner(id) == f.Index {
+			return nil, 0, fmt.Errorf("partition: outer vertex %d owned by its own fragment %d", id, f.Index)
+		}
+	}
+	for _, id := range f.InnerBorder {
 		if !g.Has(id) {
 			return nil, 0, fmt.Errorf("partition: border vertex %d missing from fragment graph", id)
 		}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"grape/internal/gen"
 	"grape/internal/graph"
 )
 
@@ -71,6 +72,40 @@ func TestDecodeFragmentRejectsTruncation(t *testing.T) {
 	for cut := 0; cut < len(buf); cut++ {
 		if _, _, err := DecodeFragment(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d decoded without error", cut, len(buf))
+		}
+	}
+}
+
+// TestDecodeFragmentRejectsInconsistentFrames: a frame that is well formed
+// byte for byte but contradicts its own ownership table is refused.
+func TestDecodeFragmentRejectsInconsistentFrames(t *testing.T) {
+	g := gen.RoadGrid(4, 5, 1)
+	asg, err := Hash{}.Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Build(g, asg).Fragments[0]
+	if len(f.Inner) == 0 || len(f.Outer) == 0 {
+		t.Fatal("fixture needs inner and outer vertices")
+	}
+	for _, tc := range []struct {
+		name string
+		bad  func(c *Fragment)
+	}{
+		{"index past the worker count", func(c *Fragment) {
+			c.Index, c.Inner, c.InnerBorder = asg.N, nil, nil
+		}},
+		{"inner vertex owned elsewhere", func(c *Fragment) {
+			c.Inner = append(append([]graph.ID(nil), c.Inner...), c.Outer[0])
+		}},
+		{"outer vertex owned here", func(c *Fragment) {
+			c.Outer = append(append([]graph.ID(nil), c.Outer...), c.Inner[0])
+		}},
+	} {
+		c := *f
+		tc.bad(&c)
+		if _, _, err := DecodeFragment(AppendFragment(nil, &c)); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
 		}
 	}
 }
