@@ -111,12 +111,13 @@ func checkFixtureAll(t *testing.T, as []*Analyzer, pkgPath string) {
 	}
 }
 
-func TestMapdet(t *testing.T)      { checkFixture(t, Mapdet, "mapdet") }
-func TestPoolreset(t *testing.T)   { checkFixture(t, Poolreset, "poolreset") }
-func TestCtxfirst(t *testing.T)    { checkFixture(t, Ctxfirst, "ctxfirst") }
-func TestDensepath(t *testing.T)   { checkFixture(t, Densepath, "densepath") }
-func TestCodecfields(t *testing.T) { checkFixture(t, Codecfields, "codecfields") }
-func TestErrclass(t *testing.T)    { checkFixture(t, Errclass, "errclass") }
+func TestMapdet(t *testing.T)             { checkFixture(t, Mapdet, "mapdet") }
+func TestPoolreset(t *testing.T)          { checkFixture(t, Poolreset, "poolreset") }
+func TestCtxfirst(t *testing.T)           { checkFixture(t, Ctxfirst, "ctxfirst") }
+func TestDensepath(t *testing.T)          { checkFixture(t, Densepath, "densepath") }
+func TestDensepathPartition(t *testing.T) { checkFixture(t, Densepath, "partition") }
+func TestCodecfields(t *testing.T)        { checkFixture(t, Codecfields, "codecfields") }
+func TestErrclass(t *testing.T)           { checkFixture(t, Errclass, "errclass") }
 
 // TestCtxfirstMainExempt pins the one deliberate hole in ctxfirst: package
 // main owns the process and is where root contexts are minted.

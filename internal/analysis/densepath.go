@@ -12,15 +12,20 @@ import (
 // edit from quietly reaching for them — the program still returns the right
 // answer, just slower, which no test catches.
 //
-// Inside PIE-program bodies (PEval/IncEval/Assemble/ApplyUpdate), a call to
-// a method M whose receiver also offers M+"At" is flagged, unless the call
-// is in a recognized sparse fallback: lexically behind a branch on
+// The graph's own sparse adjacency accessors (Out/In/OutDegree/InDegree)
+// cost more still: a frozen graph stores only packed edges, and the first
+// Out or In call materializes a sparse []Edge view of every edge in it.
+//
+// Inside PIE-program bodies (PEval/IncEval/Assemble/ApplyUpdate) and the
+// Partition methods of package partition, a call to a method M whose
+// receiver also offers M+"At" is flagged, unless the call is in a
+// recognized sparse fallback: lexically behind a branch on
 // (*graph.Graph).Frozen(), the documented thawed-graph path taken after a
 // session mutation. Anything else needs //grapevet:keep with a reason.
 var Densepath = &Analyzer{
 	Name: "densepath",
-	Doc: "PIE kernel bodies must use dense ...At accessors when one exists, unless " +
-		"guarded by a Frozen() fallback branch",
+	Doc: "PIE kernel bodies and partition strategies must use dense ...At accessors " +
+		"when one exists, unless guarded by a Frozen() fallback branch",
 	Run: runDensepath,
 }
 
@@ -36,14 +41,22 @@ var densepathSparse = map[string]bool{
 	"IsBorder": true, "IsInner": true, "Updated": true, "Vars": true,
 }
 
+// densepathGraph are the sparse adjacency accessors of graph.Graph.
+var densepathGraph = map[string]bool{
+	"Out": true, "In": true, "OutDegree": true, "InDegree": true,
+}
+
 func runDensepath(p *Pass) error {
+	partitionPkg := p.Pkg.Types.Name() == "partition"
 	for _, file := range p.Pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil || !densepathBodies[fd.Name.Name] {
+			if !ok || fd.Recv == nil || fd.Body == nil {
 				continue
 			}
-			checkDense(p, fd)
+			if densepathBodies[fd.Name.Name] || (partitionPkg && fd.Name.Name == "Partition") {
+				checkDense(p, fd)
+			}
 		}
 	}
 	return nil
@@ -59,10 +72,10 @@ func checkDense(p *Pass, fd *ast.FuncDecl) {
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
 		stack = append(stack, n)
-		if sel, ok := n.(*ast.SelectorExpr); ok && densepathSparse[sel.Sel.Name] {
-			if named := recvWithDenseTwin(info, sel); named != nil && !inFrozenFallback(info, stack, frozen) {
-				p.Reportf(sel.Sel.Pos(), "%s.%s in %s hashes per call; the dense %sAt counterpart exists — resolve the index once and stay on the CSR fast path (or //grapevet:keep <why> for a thawed fallback)",
-					named.Obj().Name(), sel.Sel.Name, fd.Name.Name, sel.Sel.Name)
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if named, cost := sparseCall(info, sel); named != nil && !inFrozenFallback(info, stack, frozen) {
+				p.Reportf(sel.Sel.Pos(), "%s.%s in %s %s; the dense %sAt counterpart exists — resolve the index once and stay on the CSR fast path (or //grapevet:keep <why> for a thawed fallback)",
+					named.Obj().Name(), sel.Sel.Name, fd.Name.Name, cost, sel.Sel.Name)
 			}
 		}
 		children(n, walk)
@@ -83,6 +96,25 @@ func recvWithDenseTwin(info *types.Info, sel *ast.SelectorExpr) *types.Named {
 		return nil
 	}
 	return named
+}
+
+// sparseCall returns the receiver type of a flagged sparse accessor call and
+// what the call costs, or nil if sel selects none.
+func sparseCall(info *types.Info, sel *ast.SelectorExpr) (*types.Named, string) {
+	name := sel.Sel.Name
+	if !densepathSparse[name] && !densepathGraph[name] {
+		return nil, ""
+	}
+	named := recvWithDenseTwin(info, sel)
+	switch {
+	case named == nil:
+		return nil, ""
+	case densepathSparse[name]:
+		return named, "hashes per call"
+	case named.Obj().Name() == "Graph" && named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "graph":
+		return named, "hashes per call and builds a frozen graph's sparse edge view"
+	}
+	return nil, ""
 }
 
 func hasMethod(n *types.Named, name string) bool {

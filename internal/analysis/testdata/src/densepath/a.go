@@ -3,6 +3,8 @@
 // dense ...At twins, and PIE-named method bodies using them.
 package densepath
 
+import "graph"
+
 type Graph struct{ frozen bool }
 
 func (g *Graph) Frozen() bool { return g.frozen }
@@ -48,4 +50,19 @@ func (Prog) Assemble(c *Context) error {
 		_ = c.Get(4)
 	}
 	return nil
+}
+
+// AdjProg's kernels walk the graph itself: the graph's sparse adjacency
+// accessors are flagged like the context's, with the same Frozen() escape.
+type AdjProg struct{}
+
+func (AdjProg) PEval(g *graph.Graph) int {
+	return len(g.In(1)) // want "Graph.In in PEval hashes per call and builds a frozen graph's sparse edge view"
+}
+
+func (AdjProg) IncEval(g *graph.Graph) int {
+	if g.Frozen() {
+		return g.OutDegreeAt(0)
+	}
+	return g.OutDegree(1)
 }

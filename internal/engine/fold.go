@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"grape/internal/graph"
 	"grape/internal/metrics"
@@ -45,6 +48,7 @@ type foldState[V any] struct {
 	changed [][]changeRec[V]   // this superstep's folded changes, by shard
 	errs    []error            // per-shard fold errors (parallel path)
 	buckets [][]VarUpdate[V]   // n*shards scratch for the parallel fold
+	sorted  []changeRec[V]     // scratch: all shards' changes, ID-ordered
 	route   [][]VarUpdate[V]   // per-worker routing buffers
 }
 
@@ -250,6 +254,16 @@ func collectStep[V any](ctx context.Context, tr mpi.Transport, codec Codec[V], f
 		}
 		if perr, ok := env.Payload.(error); ok && env.Frame == nil {
 			// A terminal link envelope: a worker (or the link to it) died.
+			// Recv picks at random between it and ctx.Done, and a worker
+			// that saw the shipped deadline hangs up on its own: if the
+			// run's bound has passed, the run was cancelled — report that,
+			// and never revive a fragment for it.
+			if cerr := settleDeadline(ctx); cerr != nil {
+				if env.From >= 0 && env.From < n && replies[env.From] == nil {
+					replies[env.From] = &workerReply[V]{}
+				}
+				return nil, 0, cancelled(stats.Engine, step, cerr)
+			}
 			w, workerFatal := mpi.WorkerFatalOf(perr)
 			if !workerFatal || rc == nil || w < 0 || w >= n {
 				// Run-fatal, or recovery is off. Record the empty reply so a
@@ -300,6 +314,10 @@ func collectStep[V any](ctx context.Context, tr mpi.Transport, codec Codec[V], f
 			if env.From >= 0 && env.From < n {
 				replies[env.From] = &rep
 			}
+			// The error may be the worker's copy of the shipped deadline,
+			// which crosses the wire as text: settle ctx so the caller sees
+			// the cancellation and re-attaches ctx's error.
+			settleDeadline(ctx)
 			return nil, 0, fmt.Errorf("worker %d superstep %d: %w", env.From, step, rep.err)
 		}
 		if env.From < 0 || env.From >= n || replies[env.From] != nil {
@@ -341,36 +359,52 @@ func collectStep[V any](ctx context.Context, tr mpi.Transport, codec Codec[V], f
 	return route, scheduled, nil
 }
 
+// settleDeadline returns ctx's error, first waiting for ctx's timer when
+// ctx's deadline has passed but the timer has not fired yet. Workers bound
+// their runs by the deadline shipped in the setup frame (whole
+// microseconds), so one may notice it, and fail, before ctx's own timer
+// fires.
+func settleDeadline(ctx context.Context) error {
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(time.UnixMicro(dl.UnixMicro())) {
+		<-ctx.Done()
+	}
+	return ctx.Err()
+}
+
 // buildRoute turns the folded changes into per-worker update batches: each
 // changed value goes to every fragment hosting the node except the winner
 // (queue variables go to the owner only: they are messages, not state).
 // Buffers are reused across supersteps — workers are done with the previous
 // batch before their replies reach the coordinator, so nothing aliases.
+// The changes of all shards are sorted by ID once (shards partition the ID
+// space, so IDs are unique), which fills every route in ID order.
 // Returns the routing table (indexed by worker; empty slices mean "not
 // scheduled") and the number of workers with pending updates.
 func (f *foldState[V]) buildRoute(layout *partition.Layout) ([][]VarUpdate[V], int) {
 	for w := 0; w < f.n; w++ {
 		f.route[w] = f.route[w][:0]
 	}
+	f.sorted = f.sorted[:0]
 	for s := 0; s < f.shards; s++ {
-		for _, rec := range f.changed[s] {
-			if f.spec.Consume {
-				o := layout.Asg.Owner(rec.id)
-				f.route[o] = append(f.route[o], VarUpdate[V]{ID: rec.id, Val: rec.val})
+		f.sorted = append(f.sorted, f.changed[s]...)
+	}
+	slices.SortFunc(f.sorted, func(a, b changeRec[V]) int { return cmp.Compare(a.id, b.id) })
+	for _, rec := range f.sorted {
+		if f.spec.Consume {
+			o := layout.Asg.Owner(rec.id)
+			f.route[o] = append(f.route[o], VarUpdate[V]{ID: rec.id, Val: rec.val})
+			continue
+		}
+		for _, h := range layout.Hosts(rec.id) {
+			if h == rec.winner {
 				continue
 			}
-			for _, h := range layout.Hosts(rec.id) {
-				if h == rec.winner {
-					continue
-				}
-				f.route[h] = append(f.route[h], VarUpdate[V]{ID: rec.id, Val: rec.val})
-			}
+			f.route[h] = append(f.route[h], VarUpdate[V]{ID: rec.id, Val: rec.val})
 		}
 	}
 	scheduled := 0
 	for w := 0; w < f.n; w++ {
 		if len(f.route[w]) > 0 {
-			sortUpdates(f.route[w])
 			scheduled++
 		}
 	}

@@ -21,7 +21,8 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"grape/internal/graph"
 	"grape/internal/partition"
@@ -471,5 +472,5 @@ func (c *Context[V]) takeWork() int64 {
 }
 
 func sortUpdates[V any](ups []VarUpdate[V]) {
-	sort.Slice(ups, func(i, j int) bool { return ups[i].ID < ups[j].ID })
+	slices.SortFunc(ups, func(a, b VarUpdate[V]) int { return cmp.Compare(a.ID, b.ID) })
 }

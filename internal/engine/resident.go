@@ -125,6 +125,7 @@ func (f *foldState[V]) reset() {
 	for i := range f.buckets {
 		f.buckets[i] = f.buckets[i][:0]
 	}
+	f.sorted = f.sorted[:0]
 	for i := range f.route {
 		f.route[i] = f.route[i][:0]
 	}

@@ -329,9 +329,23 @@ func (s *Session[Q, V, R]) validate(updates []EdgeUpdate) error {
 			return c
 		}
 		c := 0
-		for _, e := range g.Out(k.from) {
-			if e.To == k.to && e.Label == k.label {
-				c++
+		if g.Frozen() {
+			// dense scan: a served graph is frozen between batches, and the
+			// sparse Out view would materialize every edge of it
+			from, _ := g.Index(k.from)
+			to, _ := g.Index(k.to)
+			if lid, ok := g.LabelID(k.label); ok {
+				for _, e := range g.OutAt(from) {
+					if e.To == to && e.Label == lid {
+						c++
+					}
+				}
+			}
+		} else {
+			for _, e := range g.Out(k.from) {
+				if e.To == k.to && e.Label == k.label {
+					c++
+				}
 			}
 		}
 		counts[k] = c

@@ -50,10 +50,16 @@ func UpdateStream(g *graph.Graph, cfg StreamConfig) [][]Update {
 		from, to graph.ID
 		label    string
 	}
+	// Enumerate live edges over the packed form: Out on a frozen graph
+	// would materialize its whole sparse edge view.
+	fg := g
+	if !g.Frozen() {
+		fg = g.Clone().Freeze()
+	}
 	var live []inst
-	for _, u := range vs {
-		for _, e := range g.Out(u) {
-			live = append(live, inst{u, e.To, e.Label})
+	for _, i := range fg.SortedIndices() {
+		for _, e := range fg.OutAt(i) {
+			live = append(live, inst{fg.IDAt(i), fg.IDAt(e.To), fg.LabelName(e.Label)})
 		}
 	}
 	pickLabel := func() string {

@@ -1,18 +1,28 @@
 package graph
 
+import "sync"
+
 // Frozen CSR form. A Graph lives in one of two phases:
 //
 //	build phase (mutable)  — AddVertex/AddEdge grow per-vertex adjacency
 //	                         slices; not safe for concurrent use; In() builds
 //	                         the reverse adjacency lazily on first call.
-//	query phase (frozen)   — Freeze() flattens adjacency into CSR
-//	                         offset+packed-edge arrays whose edges carry the
-//	                         dense target index, interns vertex and edge
-//	                         labels into an int table, and eagerly builds the
-//	                         reverse CSR. All read methods — including In() —
-//	                         are then safe for concurrent use, and the dense
-//	                         accessors (OutAt, InAt, LabelIDAt, …) traverse
-//	                         without a single hash lookup.
+//	query phase (frozen)   — Freeze() flattens adjacency into packed CSR
+//	                         offset+edge arrays whose edges carry the dense
+//	                         target index and an interned label, interns
+//	                         vertex and edge labels into an int table, and
+//	                         eagerly builds the packed reverse CSR. These
+//	                         arrays are the only edge storage (16 B per edge
+//	                         and direction). All read methods are then safe
+//	                         for concurrent use, and the dense accessors
+//	                         (OutAt, InAt, LabelIDAt, …) traverse without a
+//	                         single hash lookup.
+//
+// On a frozen graph the sparse-ID boundary API (Out, In) reads a []Edge view
+// that is derived from the packed arrays the first time it is needed — once
+// per direction, under a sync.Once, and shared by Clone. The view costs 32 B
+// per edge plus a label string the GC must scan, so query and write paths
+// stay on the dense accessors and never build it.
 //
 // Mutating adjacency or the vertex set after Freeze (AddVertex, AddEdge)
 // transparently thaws the graph back to the build phase: dense vertex
@@ -30,13 +40,35 @@ type DenseEdge struct {
 	W     float64
 }
 
+// sparseView is the sparse-ID form of a frozen graph's adjacency, one
+// edgeView per direction, parallel to outDense and inDense.
+type sparseView struct{ out, in edgeView }
+
+// edgeView is one direction of a sparseView. Frozen graphs are read
+// concurrently, so it is built at most once, under its sync.Once.
+type edgeView struct {
+	once  sync.Once
+	edges []Edge
+}
+
+// at returns the sparse edges of the vertex at dense index i in the packed
+// direction (off, dense) of g, building the whole view on first use.
+func (v *edgeView) at(g *Graph, off []int32, dense []DenseEdge, i int32) []Edge {
+	a, b := off[i], off[i+1]
+	if a == b {
+		return nil
+	}
+	v.once.Do(func() { v.edges = g.sparseEdges(dense) })
+	return v.edges[a:b:b]
+}
+
 // Frozen reports whether the graph is in its immutable CSR form.
 func (g *Graph) Frozen() bool { return g.frozen }
 
 // Freeze converts the graph to its frozen CSR form and returns it (for
 // chaining). It is idempotent. The per-vertex adjacency slices are released;
-// Out/In keep working (they slice the flat CSR arrays, contiguously and
-// allocation-free) and the dense accessors become available.
+// Out/In keep working (they slice a sparse view built on first use) and the
+// dense accessors become available.
 func (g *Graph) Freeze() *Graph {
 	if g.frozen {
 		return g
@@ -46,11 +78,14 @@ func (g *Graph) Freeze() *Graph {
 	for _, es := range g.out {
 		ne += len(es)
 	}
+	g.internVertexLabels()
 	g.outOff = make([]int32, nv+1)
-	g.outCSR = make([]Edge, 0, ne)
+	g.outDense = make([]DenseEdge, 0, ne)
 	for i, es := range g.out {
-		g.outCSR = append(g.outCSR, es...)
-		g.outOff[i+1] = int32(len(g.outCSR))
+		for _, e := range es {
+			g.outDense = append(g.outDense, DenseEdge{To: g.index[e.To], Label: g.intern(e.Label), W: e.W})
+		}
+		g.outOff[i+1] = int32(len(g.outDense))
 	}
 	g.out = nil
 	g.in = nil
@@ -59,38 +94,41 @@ func (g *Graph) Freeze() *Graph {
 	return g
 }
 
-// finishFreeze builds the label table, the dense-target edge array and the
-// eager reverse CSR from ids/index/labels/outOff/outCSR. It is shared by
-// Freeze and the wire decoder (which fills the flat arrays directly).
-func (g *Graph) finishFreeze() {
-	nv := len(g.ids)
+// internVertexLabels starts a fresh label table and interns the vertex
+// labels in dense order. Edge labels follow in packed edge order; Freeze and
+// the wire decoder share this interning order.
+func (g *Graph) internVertexLabels() {
 	g.labelIDs = make(map[string]int32)
 	g.labelNames = nil
-	intern := func(s string) int32 {
-		if id, ok := g.labelIDs[s]; ok {
-			return id
-		}
-		id := int32(len(g.labelNames))
-		g.labelNames = append(g.labelNames, s)
-		g.labelIDs[s] = id
+	g.vlab = make([]int32, len(g.ids))
+	for i, l := range g.labels {
+		g.vlab[i] = g.intern(l)
+	}
+}
+
+func (g *Graph) intern(s string) int32 {
+	if id, ok := g.labelIDs[s]; ok {
 		return id
 	}
-	g.vlab = make([]int32, nv)
-	for i, l := range g.labels {
-		g.vlab[i] = intern(l)
-	}
-	g.outDense = make([]DenseEdge, len(g.outCSR))
-	for k, e := range g.outCSR {
-		g.outDense[k] = DenseEdge{To: g.index[e.To], Label: intern(e.Label), W: e.W}
-	}
+	id := int32(len(g.labelNames))
+	g.labelNames = append(g.labelNames, s)
+	g.labelIDs[s] = id
+	return id
+}
+
+// finishFreeze completes a graph whose packed out CSR and label table are
+// in place: it builds the reverse CSR and arms the on-demand sparse view.
+// Freeze, the wire decoder and SubgraphBuilder share it.
+func (g *Graph) finishFreeze() {
 	g.buildReverseCSR()
+	g.view = new(sparseView)
 	g.frozen = true
 }
 
-// buildReverseCSR derives inOff/inCSR/inDense from the out CSR by counting
-// sort over targets, scanning sources in dense order — the exact per-target
-// edge order the lazy buildIn produced, so frozen and unfrozen In() agree
-// element for element. Undirected graphs alias In to Out and skip it.
+// buildReverseCSR derives inOff/inDense from the out CSR by counting sort
+// over targets, scanning sources in dense order — the exact per-target edge
+// order the lazy buildIn produces, so frozen and unfrozen In() agree element
+// for element. Undirected graphs alias In to Out and skip it.
 func (g *Graph) buildReverseCSR() {
 	if !g.directed {
 		return
@@ -103,48 +141,47 @@ func (g *Graph) buildReverseCSR() {
 	for i := 0; i < nv; i++ {
 		g.inOff[i+1] += g.inOff[i]
 	}
-	g.inCSR = make([]Edge, len(g.outCSR))
-	g.inDense = make([]DenseEdge, len(g.outCSR))
+	g.inDense = make([]DenseEdge, len(g.outDense))
 	next := make([]int32, nv)
 	copy(next, g.inOff[:nv])
 	for ui := 0; ui < nv; ui++ {
-		for k := g.outOff[ui]; k < g.outOff[ui+1]; k++ {
-			de := g.outDense[k]
-			pos := next[de.To]
+		for _, de := range g.outDense[g.outOff[ui]:g.outOff[ui+1]] {
+			g.inDense[next[de.To]] = DenseEdge{To: int32(ui), Label: de.Label, W: de.W}
 			next[de.To]++
-			g.inCSR[pos] = Edge{To: g.ids[ui], W: de.W, Label: g.outCSR[k].Label}
-			g.inDense[pos] = DenseEdge{To: int32(ui), Label: de.Label, W: de.W}
 		}
 	}
 }
 
-// thaw returns the graph to the mutable build phase. The CSR arrays are never
-// mutated in place, so the restored per-vertex slices alias them with full
-// capacity — the first append to a vertex's adjacency reallocates.
+// sparseEdges resolves packed edges to the boundary form.
+func (g *Graph) sparseEdges(dense []DenseEdge) []Edge {
+	out := make([]Edge, len(dense))
+	for k, e := range dense {
+		out[k] = Edge{To: g.ids[e.To], W: e.W, Label: g.labelNames[e.Label]}
+	}
+	return out
+}
+
+// thaw returns the graph to the mutable build phase, deriving per-vertex
+// adjacency from the packed arrays into fresh memory (the packed arrays may
+// be shared with frozen Clones or live in a read-only mapping). Each
+// vertex's slice is capacity-limited, so the first append to it
+// reallocates. The reverse adjacency is rebuilt lazily by In, in the same
+// order as the reverse CSR.
 func (g *Graph) thaw() {
 	if !g.frozen {
 		return
 	}
 	nv := len(g.ids)
+	flat := g.sparseEdges(g.outDense)
 	g.out = make([][]Edge, nv)
 	for i := 0; i < nv; i++ {
 		a, b := g.outOff[i], g.outOff[i+1]
 		if a != b {
-			g.out[i] = g.outCSR[a:b:b]
+			g.out[i] = flat[a:b:b]
 		}
 	}
-	if g.directed {
-		g.in = make([][]Edge, nv)
-		for i := 0; i < nv; i++ {
-			a, b := g.inOff[i], g.inOff[i+1]
-			if a != b {
-				g.in[i] = g.inCSR[a:b:b]
-			}
-		}
-		g.inBuilt = true
-	}
-	g.outOff, g.outCSR, g.outDense = nil, nil, nil
-	g.inOff, g.inCSR, g.inDense = nil, nil, nil
+	g.in, g.inBuilt = nil, false
+	g.outOff, g.outDense, g.inOff, g.inDense, g.view = nil, nil, nil, nil, nil
 	g.vlab, g.labelNames, g.labelIDs = nil, nil, nil
 	g.frozen = false
 }

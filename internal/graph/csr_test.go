@@ -115,7 +115,10 @@ func TestThawRestoresMutability(t *testing.T) {
 // TestFrozenConcurrentReads is the regression test for the buildIn race: on
 // a frozen graph every read accessor — In() included — must be safe for
 // concurrent use (run under -race in CI). Before Freeze existed, In() built
-// the reverse adjacency lazily with no synchronization.
+// the reverse adjacency lazily with no synchronization. The sparse Out/In
+// views of a frozen graph are built on first use: here 8 goroutines make
+// the first calls at once, half of them through a Clone sharing the view,
+// and every result must equal the mutable graph's adjacency.
 func TestFrozenConcurrentReads(t *testing.T) {
 	g := New()
 	for v := 0; v < 200; v++ {
@@ -123,22 +126,29 @@ func TestFrozenConcurrentReads(t *testing.T) {
 	}
 	for v := 0; v < 200; v++ {
 		g.AddEdge(ID(v), ID((v*7+1)%200), 1)
-		g.AddEdge(ID(v), ID((v*13+5)%200), 2)
+		g.AddLabeledEdge(ID(v), ID((v*13+5)%200), 2, "x")
 	}
+	want := g.Clone()
 	g.Freeze()
+	clone := g.Clone()
 	var wg sync.WaitGroup
+	got := make([][][]Edge, 8)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
+			r := g
+			if seed%2 == 1 {
+				r = clone
+			}
 			total := 0
 			for v := 0; v < 200; v++ {
 				id := ID((v + seed) % 200)
-				total += len(g.In(id)) + len(g.Out(id))
-				i, _ := g.Index(id)
-				total += len(g.InAt(i)) + len(g.OutAt(i))
-				_ = g.LabelIDAt(i)
-				g.BFS(id, func(ID, int) bool { return true })
+				got[seed] = append(got[seed], r.Out(id), r.In(id))
+				i, _ := r.Index(id)
+				total += len(r.InAt(i)) + len(r.OutAt(i))
+				_ = r.LabelIDAt(i)
+				r.BFS(id, func(ID, int) bool { return true })
 			}
 			if total == 0 {
 				t.Error("no edges seen")
@@ -146,6 +156,14 @@ func TestFrozenConcurrentReads(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	for seed, views := range got {
+		for v := 0; v < 200; v++ {
+			id := ID((v + seed) % 200)
+			if !reflect.DeepEqual(views[2*v], want.Out(id)) || !reflect.DeepEqual(views[2*v+1], want.In(id)) {
+				t.Fatalf("goroutine %d: Out/In of %d differ from the mutable graph", seed, id)
+			}
+		}
+	}
 }
 
 func TestCloneFrozenIsIndependent(t *testing.T) {

@@ -18,7 +18,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ID identifies a vertex. IDs are sparse: any non-negative int64 may be used.
@@ -52,15 +52,14 @@ type Graph struct {
 	// Frozen CSR form (see csr.go). When frozen, out/in above are nil and
 	// adjacency lives in the flat offset+packed arrays below.
 	frozen     bool
-	outOff     []int32     // dense index -> [outOff[i], outOff[i+1]) in outCSR
-	outCSR     []Edge      // flat out-adjacency, sparse-ID edges (boundary API)
-	outDense   []DenseEdge // parallel to outCSR: dense targets, interned labels
+	outOff     []int32     // dense index -> [outOff[i], outOff[i+1]) in outDense
+	outDense   []DenseEdge // flat out-adjacency: dense targets, interned labels
 	inOff      []int32     // reverse CSR offsets (directed graphs)
-	inCSR      []Edge
 	inDense    []DenseEdge
 	vlab       []int32 // dense index -> interned vertex label
 	labelNames []string
 	labelIDs   map[string]int32
+	view       *sparseView // Out/In view of the packed arrays, built on demand
 }
 
 // New returns an empty directed graph.
@@ -211,37 +210,31 @@ func (g *Graph) Props(id ID) []string {
 	return nil
 }
 
-// Out returns the out-edges of id (nil if absent). The caller must not mutate
-// the returned slice.
+// Out returns the out-edges of id (nil if absent). On a frozen graph the
+// first call builds the sparse view of every out-edge (see csr.go); hot
+// paths use OutAt. The caller must not mutate the returned slice.
 func (g *Graph) Out(id ID) []Edge {
 	if i, ok := g.index[id]; ok {
 		if g.frozen {
-			a, b := g.outOff[i], g.outOff[i+1]
-			if a == b {
-				return nil
-			}
-			return g.outCSR[a:b:b]
+			return g.view.out.at(g, g.outOff, g.outDense, i)
 		}
 		return g.out[i]
 	}
 	return nil
 }
 
-// In returns the in-edges of id. On frozen graphs the eagerly built reverse
-// CSR is sliced; on mutable graphs the reverse adjacency is built lazily on
-// first use (single-goroutine only — see the package phase contract). For
-// undirected graphs In equals Out.
+// In returns the in-edges of id. On frozen graphs the first call builds the
+// sparse view of the reverse CSR (safe for concurrent use); on mutable
+// graphs the reverse adjacency is built lazily on first use (single-goroutine
+// only — see the package phase contract). For undirected graphs In equals
+// Out.
 func (g *Graph) In(id ID) []Edge {
 	if !g.directed {
 		return g.Out(id)
 	}
 	if g.frozen {
 		if i, ok := g.index[id]; ok {
-			a, b := g.inOff[i], g.inOff[i+1]
-			if a == b {
-				return nil
-			}
-			return g.inCSR[a:b:b]
+			return g.view.in.at(g, g.inOff, g.inDense, i)
 		}
 		return nil
 	}
@@ -280,7 +273,7 @@ func (g *Graph) Vertices() []ID { return g.ids }
 func (g *Graph) SortedVertices() []ID {
 	out := make([]ID, len(g.ids))
 	copy(out, g.ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -303,10 +296,10 @@ func (g *Graph) mustIndex(id ID) int32 {
 }
 
 // Clone returns a deep copy of the graph. A frozen graph clones frozen,
-// sharing the immutable CSR arrays and label table (they are never mutated
-// in place — thawing a clone drops the references, it does not write through
-// them); a mutable graph clones mutable, with the reverse adjacency rebuilt
-// on demand.
+// sharing the immutable CSR arrays, label table and sparse view (they are
+// never mutated in place — thawing a clone drops the references, it does not
+// write through them); a mutable graph clones mutable, with the reverse
+// adjacency rebuilt on demand.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		directed: g.directed,
@@ -324,9 +317,8 @@ func (g *Graph) Clone() *Graph {
 	}
 	if g.frozen {
 		c.frozen = true
-		c.outOff, c.outCSR, c.outDense = g.outOff, g.outCSR, g.outDense
-		c.inOff, c.inCSR, c.inDense = g.inOff, g.inCSR, g.inDense
-		c.vlab, c.labelNames, c.labelIDs = g.vlab, g.labelNames, g.labelIDs
+		c.outOff, c.outDense, c.inOff, c.inDense = g.outOff, g.outDense, g.inOff, g.inDense
+		c.vlab, c.labelNames, c.labelIDs, c.view = g.vlab, g.labelNames, g.labelIDs, g.view
 		return c
 	}
 	c.out = make([][]Edge, len(g.out))
@@ -422,25 +414,8 @@ func (g *Graph) Validate() error {
 		}
 	}
 	if g.frozen {
-		if len(g.outOff) != nv+1 || len(g.outDense) != len(g.outCSR) || len(g.vlab) != nv {
-			return fmt.Errorf("graph: inconsistent CSR lengths")
-		}
-		for i := 0; i < nv; i++ {
-			if g.outOff[i] > g.outOff[i+1] {
-				return fmt.Errorf("graph: CSR offsets not monotone at %d", i)
-			}
-		}
-		if int(g.outOff[nv]) != len(g.outCSR) {
-			return fmt.Errorf("graph: CSR offsets do not cover the edge array")
-		}
-		for k, e := range g.outCSR {
-			d := g.outDense[k]
-			if int(d.To) >= nv || g.ids[d.To] != e.To {
-				return fmt.Errorf("graph: packed edge %d targets %d, sparse view says %d", k, d.To, e.To)
-			}
-			if g.labelNames[d.Label] != e.Label {
-				return fmt.Errorf("graph: packed edge %d label %q, sparse view says %q", k, g.labelNames[d.Label], e.Label)
-			}
+		if err := g.validateCSR(); err != nil {
+			return fmt.Errorf("graph: %w", err)
 		}
 		return nil
 	}

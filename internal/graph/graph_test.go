@@ -192,6 +192,29 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := g.Validate(); err == nil {
 		t.Fatal("expected validation error")
 	}
+	// frozen: the packed arrays are the only edge storage, so Validate
+	// range-checks them directly
+	corrupt := map[string]func(*Graph){
+		"out target": func(f *Graph) { f.outDense[0].To = int32(f.NumVertices()) },
+		"out label":  func(f *Graph) { f.outDense[0].Label = int32(f.NumLabels()) },
+		"in target":  func(f *Graph) { f.inDense[0].To = -1 },
+		"in label":   func(f *Graph) { f.inDense[0].Label = int32(f.NumLabels()) },
+		"offsets":    func(f *Graph) { f.outOff[1] = f.outOff[2] + 1 },
+		"vlab":       func(f *Graph) { f.vlab[0] = int32(f.NumLabels()) },
+	}
+	for name, mut := range corrupt {
+		f := New()
+		f.AddEdge(1, 2, 1)
+		f.AddEdge(2, 3, 1)
+		f.Freeze()
+		if err := f.Validate(); err != nil {
+			t.Fatalf("%s: intact graph rejected: %v", name, err)
+		}
+		mut(f)
+		if err := f.Validate(); err == nil {
+			t.Fatalf("%s: corrupt packed CSR accepted", name)
+		}
+	}
 }
 
 func TestSortedVerticesProperty(t *testing.T) {

@@ -8,7 +8,7 @@ import "fmt"
 // OutOff, OutDense, InOff, InDense) are the mmap-able half — FromMapped
 // aliases them as given, so they may point into a read-only file mapping.
 // The string-bearing half (Labels, Props) is always heap-resident; FromMapped
-// reconstructs the sparse CSR views and the intern maps from it.
+// rebuilds the ID index and the label intern map from it.
 type CSRData struct {
 	Directed bool
 	// NumEdges is the logical edge count (undirected edges count once; the
@@ -54,38 +54,19 @@ func (g *Graph) CSRView() (CSRData, error) {
 // FromMapped constructs a frozen Graph from its flat form without calling
 // Freeze: the fixed-width slices of d are aliased as-is (they may live in a
 // read-only mmap — the graph never writes through them; mutation thaws into
-// freshly allocated memory first), and the derived structures Freeze would
-// have produced — the ID index, the label intern map, the sparse-ID edge
-// views — are rebuilt on the heap, exactly as finishFreeze defines them.
-// Every array is bounds-checked first, so corrupt input errors instead of
-// panicking later.
+// freshly allocated memory first, and the sparse Out/In view is built on the
+// heap only if someone asks for it), and the derived structures Freeze would
+// have produced — the ID index and the label intern map — are rebuilt on the
+// heap. Every array is bounds-checked first, so corrupt input errors instead
+// of panicking later.
 func FromMapped(d CSRData) (*Graph, error) {
 	nv := len(d.IDs)
-	ne := len(d.OutDense)
-	if len(d.VLabels) != nv {
-		return nil, fmt.Errorf("graph: mapped vlab covers %d of %d vertices", len(d.VLabels), nv)
-	}
-	if len(d.OutOff) != nv+1 {
-		return nil, fmt.Errorf("graph: mapped outOff has %d entries, want %d", len(d.OutOff), nv+1)
-	}
 	if d.Props != nil && len(d.Props) != nv {
 		return nil, fmt.Errorf("graph: mapped props cover %d of %d vertices", len(d.Props), nv)
 	}
-	if err := checkOffsets(d.OutOff, ne); err != nil {
-		return nil, fmt.Errorf("graph: mapped out CSR: %w", err)
-	}
-	if d.Directed {
-		if len(d.InOff) != nv+1 || len(d.InDense) != ne {
-			return nil, fmt.Errorf("graph: mapped reverse CSR has %d offsets / %d edges, want %d / %d",
-				len(d.InOff), len(d.InDense), nv+1, ne)
-		}
-		if err := checkOffsets(d.InOff, ne); err != nil {
-			return nil, fmt.Errorf("graph: mapped in CSR: %w", err)
-		}
-	} else if len(d.InOff) != 0 || len(d.InDense) != 0 {
+	if !d.Directed && (len(d.InOff) != 0 || len(d.InDense) != 0) {
 		return nil, fmt.Errorf("graph: mapped undirected graph carries a reverse CSR")
 	}
-
 	g := &Graph{
 		directed:   d.Directed,
 		ids:        d.IDs,
@@ -93,9 +74,15 @@ func FromMapped(d CSRData) (*Graph, error) {
 		numEdges:   d.NumEdges,
 		outOff:     d.OutOff,
 		outDense:   d.OutDense,
+		inOff:      d.InOff,
+		inDense:    d.InDense,
 		vlab:       d.VLabels,
 		labelNames: d.Labels,
 		labelIDs:   make(map[string]int32, len(d.Labels)),
+		props:      d.Props,
+	}
+	if err := g.validateCSR(); err != nil {
+		return nil, fmt.Errorf("graph: mapped: %w", err)
 	}
 	for i, id := range d.IDs {
 		if _, dup := g.index[id]; dup {
@@ -109,37 +96,53 @@ func FromMapped(d CSRData) (*Graph, error) {
 		}
 		g.labelIDs[s] = int32(i)
 	}
-	nl := int32(len(d.Labels))
 	g.labels = make([]string, nv)
 	for i, l := range d.VLabels {
-		if l < 0 || l >= nl {
-			return nil, fmt.Errorf("graph: mapped vertex %d has label id %d of %d", i, l, nl)
-		}
 		g.labels[i] = d.Labels[l]
 	}
-	if d.Props != nil {
-		g.props = d.Props
-	} else {
+	if g.props == nil {
 		g.props = make([][]string, nv)
 	}
-	var err error
-	if g.outCSR, err = sparseEdges(d.OutDense, d.IDs, d.Labels); err != nil {
-		return nil, fmt.Errorf("graph: mapped out CSR: %w", err)
-	}
-	if d.Directed {
-		g.inOff = d.InOff
-		g.inDense = d.InDense
-		if g.inCSR, err = sparseEdges(d.InDense, d.IDs, d.Labels); err != nil {
-			return nil, fmt.Errorf("graph: mapped in CSR: %w", err)
-		}
-	}
+	g.view = new(sparseView)
 	g.frozen = true
 	return g, nil
 }
 
-// checkOffsets validates a CSR offset array: starts at 0, monotone, and
-// covers exactly ne packed edges.
-func checkOffsets(off []int32, ne int) error {
+// validateCSR checks the structural invariants of a frozen graph's flat
+// arrays: their lengths, offsets that start at 0, are monotone and cover
+// their edge array, and every packed target and label id in range. It runs
+// on untrusted input in FromMapped and on any frozen graph in Validate.
+func (g *Graph) validateCSR() error {
+	nv, nl := int32(len(g.ids)), int32(len(g.labelNames))
+	if len(g.vlab) != int(nv) {
+		return fmt.Errorf("vlab covers %d of %d vertices", len(g.vlab), nv)
+	}
+	for i, l := range g.vlab {
+		if l < 0 || l >= nl {
+			return fmt.Errorf("vertex %d has label id %d of %d", i, l, nl)
+		}
+	}
+	if err := checkCSR(g.outOff, g.outDense, nv, nl); err != nil {
+		return fmt.Errorf("out CSR: %w", err)
+	}
+	if !g.directed {
+		return nil
+	}
+	if len(g.inDense) != len(g.outDense) {
+		return fmt.Errorf("reverse CSR has %d of %d edges", len(g.inDense), len(g.outDense))
+	}
+	if err := checkCSR(g.inOff, g.inDense, nv, nl); err != nil {
+		return fmt.Errorf("in CSR: %w", err)
+	}
+	return nil
+}
+
+// checkCSR validates one direction of a packed CSR over nv vertices and nl
+// interned labels.
+func checkCSR(off []int32, dense []DenseEdge, nv, nl int32) error {
+	if len(off) != int(nv)+1 {
+		return fmt.Errorf("%d offsets, want %d", len(off), nv+1)
+	}
 	if off[0] != 0 {
 		return fmt.Errorf("offsets start at %d", off[0])
 	}
@@ -148,25 +151,16 @@ func checkOffsets(off []int32, ne int) error {
 			return fmt.Errorf("offsets not monotone at %d", i)
 		}
 	}
-	if int(off[len(off)-1]) != ne {
-		return fmt.Errorf("offsets cover %d of %d edges", off[len(off)-1], ne)
+	if int(off[nv]) != len(dense) {
+		return fmt.Errorf("offsets cover %d of %d edges", off[nv], len(dense))
 	}
-	return nil
-}
-
-// sparseEdges rebuilds the sparse-ID edge view of a packed edge array — the
-// inverse of what finishFreeze interns: Edge{To: ids[e.To], W, labels[e.Label]}.
-func sparseEdges(dense []DenseEdge, ids []ID, labels []string) ([]Edge, error) {
-	nv, nl := int32(len(ids)), int32(len(labels))
-	out := make([]Edge, len(dense))
 	for k, e := range dense {
 		if e.To < 0 || e.To >= nv {
-			return nil, fmt.Errorf("packed edge %d targets dense index %d of %d", k, e.To, nv)
+			return fmt.Errorf("packed edge %d targets dense index %d of %d", k, e.To, nv)
 		}
 		if e.Label < 0 || e.Label >= nl {
-			return nil, fmt.Errorf("packed edge %d has label id %d of %d", k, e.Label, nl)
+			return fmt.Errorf("packed edge %d has label id %d of %d", k, e.Label, nl)
 		}
-		out[k] = Edge{To: ids[e.To], W: e.W, Label: labels[e.Label]}
 	}
-	return out, nil
+	return nil
 }

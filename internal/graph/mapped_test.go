@@ -42,8 +42,8 @@ func equalFrozen(t *testing.T, want, got *Graph) {
 			t.Fatalf("vertex %d: packed in-edges differ", i)
 		}
 		id := want.IDAt(i)
-		if !reflect.DeepEqual(want.In(id), got.In(id)) {
-			t.Fatalf("vertex %d: sparse in-edges differ", id)
+		if !reflect.DeepEqual(want.Out(id), got.Out(id)) || !reflect.DeepEqual(want.In(id), got.In(id)) {
+			t.Fatalf("vertex %d: sparse edge views differ", id)
 		}
 	}
 }

@@ -96,10 +96,16 @@ func TestGraphModelProperty(t *testing.T) {
 // and checks that Freeze preserves every observable — Out/In adjacency,
 // labels, properties, vertex and edge counts — exactly, that the dense
 // accessors agree with the boundary API, and that the frozen graph
-// round-trips through the wire codec byte-for-byte.
+// round-trips through the wire codec byte-for-byte. Every other frozen
+// constructor (DecodeGraph, FromMapped, InducedSubgraphMask via
+// SubgraphBuilder) and a thawed clone must serve the same on-demand Out/In
+// views, element for element and in order.
 func TestFreezeProperty(t *testing.T) {
-	f := func(ops []op) bool {
+	f := func(ops []op, undirected bool) bool {
 		g := New()
+		if undirected {
+			g = NewUndirected()
+		}
 		for _, o := range ops {
 			u, v := ID(o.U%32), ID(o.V%32)
 			switch o.Kind % 3 {
@@ -169,7 +175,30 @@ func TestFreezeProperty(t *testing.T) {
 		if err != nil || used != len(frozenBytes) {
 			return false
 		}
-		if !dec.Frozen() || dec.Validate() != nil {
+		if !dec.Frozen() || dec.Validate() != nil || !sameAdjacency(g, dec) {
+			return false
+		}
+		d, err := fz.CSRView()
+		if err != nil {
+			return false
+		}
+		if m, err := FromMapped(d); err != nil || !sameAdjacency(g, m) {
+			return false
+		}
+		mask, keep := make([]bool, g.NumVertices()), map[ID]bool{}
+		for i := range mask {
+			if mask[i] = (i+len(ops))%3 != 0; mask[i] {
+				keep[g.IDAt(int32(i))] = true
+			}
+		}
+		if !sameAdjacency(g.InducedSubgraph(keep), fz.InducedSubgraphMask(mask)) {
+			return false
+		}
+		thawed := fz.Clone()
+		if g.NumVertices() > 0 {
+			thawed.AddVertex(g.IDAt(0), "") // no-op mutation: thaws only
+		}
+		if !sameAdjacency(g, thawed) || !reflect.DeepEqual(AppendGraph(nil, thawed), frozenBytes) {
 			return false
 		}
 		return reflect.DeepEqual(AppendGraph(nil, dec), frozenBytes)
@@ -210,4 +239,18 @@ func TestSymmetrizedProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sameAdjacency reports whether got has want's vertices and, for each, the
+// same Out and In edges, element for element and in order.
+func sameAdjacency(want, got *Graph) bool {
+	if got.NumVertices() != want.NumVertices() {
+		return false
+	}
+	for _, v := range want.Vertices() {
+		if !reflect.DeepEqual(got.Out(v), want.Out(v)) || !reflect.DeepEqual(got.In(v), want.In(v)) {
+			return false
+		}
+	}
+	return true
 }

@@ -116,7 +116,6 @@ func (b *SubgraphBuilder) Finish() *Graph {
 		labels:   b.lbl,
 		props:    b.props,
 		numEdges: b.numEdges,
-		frozen:   true,
 	}
 	nv := len(b.ids)
 	lmap := make([]int32, b.src.NumLabels())
@@ -145,7 +144,6 @@ func (b *SubgraphBuilder) Finish() *Graph {
 		g.outOff[i+1] += g.outOff[i]
 	}
 	ne := len(b.esrc)
-	g.outCSR = make([]Edge, ne)
 	g.outDense = make([]DenseEdge, ne)
 	next := make([]int32, nv)
 	copy(next, g.outOff[:nv])
@@ -153,15 +151,13 @@ func (b *SubgraphBuilder) Finish() *Graph {
 		s := b.esrc[k]
 		pos := next[s]
 		next[s]++
-		lid := intern(b.elab[k])
-		g.outDense[pos] = DenseEdge{To: b.eto[k], Label: lid, W: b.ew[k]}
-		g.outCSR[pos] = Edge{To: g.ids[b.eto[k]], W: b.ew[k], Label: g.labelNames[lid]}
+		g.outDense[pos] = DenseEdge{To: b.eto[k], Label: intern(b.elab[k]), W: b.ew[k]}
 	}
 	g.labelIDs = make(map[string]int32, len(g.labelNames))
 	for i, s := range g.labelNames {
 		g.labelIDs[s] = int32(i)
 	}
-	g.buildReverseCSR()
+	g.finishFreeze()
 	return g
 }
 

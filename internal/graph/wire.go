@@ -43,27 +43,34 @@ func AppendGraph(buf []byte, g *Graph) []byte {
 		}
 	}
 	for i := range g.ids {
-		var es []Edge
 		if g.frozen {
-			es = g.outCSR[g.outOff[i]:g.outOff[i+1]]
-		} else {
-			es = g.out[i]
+			es := g.OutAt(int32(i))
+			buf = binary.AppendUvarint(buf, uint64(len(es)))
+			for _, e := range es {
+				buf = appendEdge(buf, g.ids[e.To], e.W, g.labelNames[e.Label])
+			}
+			continue
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(es)))
-		for _, e := range es {
-			buf = binary.AppendUvarint(buf, uint64(e.To))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.W))
-			buf = appendString(buf, e.Label)
+		buf = binary.AppendUvarint(buf, uint64(len(g.out[i])))
+		for _, e := range g.out[i] {
+			buf = appendEdge(buf, e.To, e.W, e.Label)
 		}
 	}
 	return binary.AppendUvarint(buf, uint64(g.numEdges))
 }
 
+func appendEdge(buf []byte, to ID, w float64, label string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(to))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w))
+	return appendString(buf, label)
+}
+
 // DecodeGraph decodes a graph encoded by AppendGraph from the front of data,
 // returning the graph and the number of bytes consumed. The decoder fills the
-// CSR arrays directly and returns the graph already frozen — workers query
-// shipped fragments, they do not mutate them — so decoding pays no per-edge
-// append/index churn and the dense accessors are immediately available.
+// packed CSR arrays directly and returns the graph already frozen — workers
+// query shipped fragments, they do not mutate them — so decoding pays no
+// per-vertex adjacency churn and the dense accessors are immediately
+// available.
 func DecodeGraph(data []byte) (*Graph, int, error) {
 	pos := 0
 	if len(data) == 0 {
@@ -105,6 +112,7 @@ func DecodeGraph(data []byte) (*Graph, int, error) {
 		}
 		g.props = append(g.props, props)
 	}
+	g.internVertexLabels()
 	g.outOff = make([]int32, nv+1)
 	for i := uint64(0); i < nv; i++ {
 		deg, err := ReadUvarint(data, &pos)
@@ -125,12 +133,13 @@ func DecodeGraph(data []byte) (*Graph, int, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			if _, ok := g.index[ID(to)]; !ok {
+			ti, ok := g.index[ID(to)]
+			if !ok {
 				return nil, 0, fmt.Errorf("graph: edge to unknown vertex %d", to)
 			}
-			g.outCSR = append(g.outCSR, Edge{To: ID(to), W: w, Label: label})
+			g.outDense = append(g.outDense, DenseEdge{To: ti, Label: g.intern(label), W: w})
 		}
-		g.outOff[i+1] = int32(len(g.outCSR))
+		g.outOff[i+1] = int32(len(g.outDense))
 	}
 	ne, err := ReadUvarint(data, &pos)
 	if err != nil {

@@ -62,15 +62,21 @@ func (a *Assignment) Sizes() []int {
 // EdgeCut returns the number of edges whose endpoints have different owners.
 func (a *Assignment) EdgeCut() int {
 	cut := 0
-	for _, u := range a.G.Vertices() {
-		uo := a.Owner(u)
-		for _, e := range a.G.Out(u) {
-			if a.Owner(e.To) != uo {
-				cut++
+	a.cutEdges(func(int32, int32) { cut++ })
+	return cut
+}
+
+// cutEdges calls f with the dense endpoints of every edge whose endpoints
+// have different owners.
+func (a *Assignment) cutEdges(f func(u, v int32)) {
+	g := frozenSource(a.G)
+	for u := int32(0); u < int32(g.NumVertices()); u++ {
+		for _, e := range g.OutAt(u) {
+			if a.owner[e.To] != a.owner[u] {
+				f(u, e.To)
 			}
 		}
 	}
-	return cut
 }
 
 // Balance returns max part size divided by the ideal size |V|/N; 1.0 is
@@ -93,17 +99,16 @@ func (a *Assignment) Balance() float64 {
 // BorderCount returns the number of distinct vertices incident to a cut edge
 // (on either side). These are exactly the nodes carrying update parameters.
 func (a *Assignment) BorderCount() int {
-	border := make(map[graph.ID]bool)
-	for _, u := range a.G.Vertices() {
-		uo := a.Owner(u)
-		for _, e := range a.G.Out(u) {
-			if a.Owner(e.To) != uo {
-				border[u] = true
-				border[e.To] = true
-			}
+	border := make([]bool, len(a.owner))
+	count := 0
+	mark := func(i int32) {
+		if !border[i] {
+			border[i] = true
+			count++
 		}
 	}
-	return len(border)
+	a.cutEdges(func(u, v int32) { mark(u); mark(v) })
+	return count
 }
 
 // Validate checks that every vertex has an owner in range.

@@ -148,25 +148,12 @@ func (f Fennel) Partition(g *graph.Graph, n int) (*Assignment, error) {
 		alpha = 1
 	}
 	cap := int(math.Ceil(slack * float64(nv) / float64(n)))
-	ids := g.SortedVertices()
-	a := NewAssignment(g, n)
-	placed := make(map[graph.ID]int, nv)
+	fg := frozenSource(g)
+	a, placed := newUnplaced(g, n)
 	sizes := make([]int, n)
 	neighborCount := make([]int, n) // scratch
-	for _, v := range ids {
-		for i := range neighborCount {
-			neighborCount[i] = 0
-		}
-		for _, e := range g.Out(v) {
-			if w, ok := placed[e.To]; ok {
-				neighborCount[w]++
-			}
-		}
-		for _, e := range g.In(v) {
-			if w, ok := placed[e.To]; ok {
-				neighborCount[w]++
-			}
-		}
+	for _, v := range fg.SortedIndices() {
+		countPlaced(fg, v, placed, neighborCount)
 		best, bestScore := -1, math.Inf(-1)
 		for w := 0; w < n; w++ {
 			if sizes[w] >= cap {
@@ -180,11 +167,38 @@ func (f Fennel) Partition(g *graph.Graph, n int) (*Assignment, error) {
 		if best < 0 { // all at cap (can't happen with slack > 1, but be safe)
 			best = argmin(sizes)
 		}
-		placed[v] = best
+		placed[v] = int32(best)
 		sizes[best]++
-		a.SetOwner(v, best)
 	}
 	return a, nil
+}
+
+// newUnplaced returns an assignment together with its owner array, every
+// entry -1 (not yet placed). The partitioners place every vertex, so the
+// filled-in array is the assignment.
+func newUnplaced(g *graph.Graph, n int) (*Assignment, []int32) {
+	a := NewAssignment(g, n)
+	for i := range a.owner {
+		a.owner[i] = -1
+	}
+	return a, a.owner
+}
+
+// countPlaced tallies, per part, the already-placed neighbors of the vertex
+// at dense index v of the frozen graph g, over out- and in-edges (an
+// undirected graph lists each neighbor in both).
+func countPlaced(g *graph.Graph, v int32, placed []int32, counts []int) {
+	clear(counts)
+	for _, e := range g.OutAt(v) {
+		if w := placed[e.To]; w >= 0 {
+			counts[w]++
+		}
+	}
+	for _, e := range g.InAt(v) {
+		if w := placed[e.To]; w >= 0 {
+			counts[w]++
+		}
+	}
 }
 
 func argmin(xs []int) int {
@@ -220,24 +234,12 @@ func (l LDG) Partition(g *graph.Graph, n int) (*Assignment, error) {
 		slack = 1.1
 	}
 	capacity := slack * float64(g.NumVertices()) / float64(n)
-	a := NewAssignment(g, n)
-	placed := make(map[graph.ID]int, g.NumVertices())
+	fg := frozenSource(g)
+	a, placed := newUnplaced(g, n)
 	sizes := make([]int, n)
 	neighborCount := make([]int, n)
-	for _, v := range g.SortedVertices() {
-		for i := range neighborCount {
-			neighborCount[i] = 0
-		}
-		for _, e := range g.Out(v) {
-			if w, ok := placed[e.To]; ok {
-				neighborCount[w]++
-			}
-		}
-		for _, e := range g.In(v) {
-			if w, ok := placed[e.To]; ok {
-				neighborCount[w]++
-			}
-		}
+	for _, v := range fg.SortedIndices() {
+		countPlaced(fg, v, placed, neighborCount)
 		best, bestScore := -1, math.Inf(-1)
 		for w := 0; w < n; w++ {
 			if float64(sizes[w]) >= capacity {
@@ -252,9 +254,8 @@ func (l LDG) Partition(g *graph.Graph, n int) (*Assignment, error) {
 		if best < 0 {
 			best = argmin(sizes)
 		}
-		placed[v] = best
+		placed[v] = int32(best)
 		sizes[best]++
-		a.SetOwner(v, best)
 	}
 	return a, nil
 }
@@ -288,45 +289,41 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 	}
 	nv := g.NumVertices()
 	cap := int(math.Ceil(slack * float64(nv) / float64(n)))
-
-	owner := make(map[graph.ID]int, nv)
+	fg := frozenSource(g)
+	a, owner := newUnplaced(g, n)
 	sizes := make([]int, n)
 
 	// Phase 1: region growing. Seeds spread across the ID space; each BFS
-	// claims unassigned vertices until its part reaches the ideal size.
-	ids := g.SortedVertices()
-	ideal := (nv + n - 1) / n
+	// claims unassigned vertices until its part reaches the cap.
+	ids := fg.SortedIndices()
 	seedStep := nv / n
-	var queues [][]graph.ID
+	var queues [][]int32
 	for w := 0; w < n; w++ {
-		queues = append(queues, []graph.ID{ids[min(w*seedStep, nv-1)]})
+		queues = append(queues, []int32{ids[min(w*seedStep, nv-1)]})
 	}
 	assigned := 0
 	for assigned < nv {
 		progress := false
 		for w := 0; w < n && assigned < nv; w++ {
-			if sizes[w] >= ideal && assigned < nv {
-				// still allowed to grow if others are stuck
-			}
 			grew := 0
 			for len(queues[w]) > 0 && grew < 8 && sizes[w] < cap {
 				v := queues[w][0]
 				queues[w] = queues[w][1:]
-				if _, ok := owner[v]; ok {
+				if owner[v] >= 0 {
 					continue
 				}
-				owner[v] = w
+				owner[v] = int32(w)
 				sizes[w]++
 				assigned++
 				grew++
 				progress = true
-				for _, e := range g.Out(v) {
-					if _, ok := owner[e.To]; !ok {
+				for _, e := range fg.OutAt(v) {
+					if owner[e.To] < 0 {
 						queues[w] = append(queues[w], e.To)
 					}
 				}
-				for _, e := range g.In(v) {
-					if _, ok := owner[e.To]; !ok {
+				for _, e := range fg.InAt(v) {
+					if owner[e.To] < 0 {
 						queues[w] = append(queues[w], e.To)
 					}
 				}
@@ -337,7 +334,7 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 			// unassigned vertex.
 			w := argmin(sizes)
 			for _, v := range ids {
-				if _, ok := owner[v]; !ok {
+				if owner[v] < 0 {
 					queues[w] = append(queues[w], v)
 					break
 				}
@@ -352,9 +349,9 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 			}
 			if stuck {
 				for _, v := range ids {
-					if _, ok := owner[v]; !ok {
+					if owner[v] < 0 {
 						w := argmin(sizes)
-						owner[v] = w
+						owner[v] = int32(w)
 						sizes[w]++
 						assigned++
 					}
@@ -369,14 +366,12 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for _, v := range ids {
-			cur := owner[v]
-			for i := range degTo {
-				degTo[i] = 0
-			}
-			for _, e := range g.Out(v) {
+			cur := int(owner[v])
+			clear(degTo)
+			for _, e := range fg.OutAt(v) {
 				degTo[owner[e.To]]++
 			}
-			for _, e := range g.In(v) {
+			for _, e := range fg.InAt(v) {
 				degTo[owner[e.To]]++
 			}
 			best, bestGain := cur, 0
@@ -390,7 +385,7 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 				}
 			}
 			if best != cur {
-				owner[v] = best
+				owner[v] = int32(best)
 				sizes[cur]--
 				sizes[best]++
 				moved++
@@ -399,11 +394,6 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 		if moved == 0 {
 			break
 		}
-	}
-
-	a := NewAssignment(g, n)
-	for v, w := range owner {
-		a.SetOwner(v, w)
 	}
 	return a, nil
 }

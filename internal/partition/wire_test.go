@@ -24,6 +24,14 @@ func TestFragmentWireRoundTrip(t *testing.T) {
 	layout := Build(g, asg)
 	for _, f := range layout.Fragments {
 		buf := AppendFragment(nil, f)
+		// the frozen fragment encodes from its packed arrays, byte for byte
+		// what its thawed clone encodes from per-vertex adjacency
+		thawed := *f
+		thawed.G = f.G.Clone()
+		thawed.G.AddVertex(thawed.G.IDAt(0), "") // no-op mutation: thaws only
+		if thawed.G.Frozen() || !reflect.DeepEqual(AppendFragment(nil, &thawed), buf) {
+			t.Fatalf("fragment %d: frozen and thawed encodings differ", f.Index)
+		}
 		got, used, err := DecodeFragment(buf)
 		if err != nil {
 			t.Fatalf("fragment %d: %v", f.Index, err)

@@ -236,7 +236,10 @@ func TestDurableTamperedJournal(t *testing.T) {
 // epoch, the journal truncates, and a restart replays (almost) nothing.
 func TestDurableCompaction(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 4, Strategy: "hash", CompactRecords: 2, CompactBytes: -1, CompactInterval: 20 * time.Millisecond}
+	// The record threshold equals the number of mutations below, so it is
+	// crossed only after the last write: however the ticker interleaves,
+	// the one compaction snapshots epoch 4.
+	cfg := Config{Workers: 4, Strategy: "hash", CompactRecords: 3, CompactBytes: -1, CompactInterval: 20 * time.Millisecond}
 	s := newDurableServer(t, dir, cfg)
 	defer s.Close()
 	ctx := context.Background()
