@@ -13,6 +13,7 @@ import (
 // written with zero dependencies. The metric family set is fixed:
 //
 //	grape_queries_total / grape_cache_hits_total / grape_cache_misses_total
+//	grape_queries_coalesced_total                                     counter
 //	grape_errors_total / grape_rejected_total / grape_timeouts_total  counters
 //	grape_cache_hit_rate / grape_queue_depth / grape_in_flight        gauges
 //	grape_runs_total{class=...}                                       counter
@@ -49,6 +50,7 @@ func (m *Serving) WritePrometheus(w io.Writer, queueDepth, inFlight int) error {
 	counter("grape_queries_total", "Queries answered (cache hits, engine runs and errors).", m.queries)
 	counter("grape_cache_hits_total", "Queries answered from the result cache.", m.hits)
 	counter("grape_cache_misses_total", "Queries answered by running the engine.", m.misses)
+	counter("grape_queries_coalesced_total", "Cache hits answered by waiting on an identical in-flight query.", m.coalesced)
 	counter("grape_errors_total", "Queries that failed (parse or run errors).", m.errors)
 	counter("grape_rejected_total", "Queries refused at admission (queue full).", m.rejected)
 	counter("grape_timeouts_total", "Queries that exceeded their deadline queued or running.", m.timeouts)

@@ -19,12 +19,15 @@ import (
 type Serving struct {
 	mu sync.Mutex
 
-	queries  uint64 // answered (hit or computed), including errors
-	hits     uint64 // answered from the result cache
-	misses   uint64 // answered by running the engine
-	errors   uint64 // run or parse failures surfaced to the client
-	rejected uint64 // refused at admission: queue full
-	timeouts uint64 // gave up waiting (queue or run exceeded the deadline)
+	queries uint64 // answered (hit or computed), including errors
+	hits    uint64 // answered from the result cache
+	// coalesced counts the hits that waited on an identical in-flight miss
+	// and took its answer (a subset of hits)
+	coalesced uint64
+	misses    uint64 // answered by running the engine
+	errors    uint64 // run or parse failures surfaced to the client
+	rejected  uint64 // refused at admission: queue full
+	timeouts  uint64 // gave up waiting (queue or run exceeded the deadline)
 
 	buckets [servingBuckets]uint64
 	sum     time.Duration
@@ -139,6 +142,17 @@ func (m *Serving) ObserveHit(d time.Duration) {
 	m.observe(d)
 }
 
+// ObserveCoalesced records a query answered in d by waiting on an identical
+// query already running and taking its answer. It counts as a cache hit —
+// the client sees cached:true — and as coalesced.
+func (m *Serving) ObserveCoalesced(d time.Duration) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.hits++
+	m.coalesced++
+	m.observe(d)
+}
+
 // ObserveMiss records a query answered by running the engine in d (queue
 // wait included).
 func (m *Serving) ObserveMiss(d time.Duration) {
@@ -186,9 +200,12 @@ type ServingSnapshot struct {
 	CacheHits    uint64  `json:"cache_hits"`
 	CacheMisses  uint64  `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	Errors       uint64  `json:"errors"`
-	Rejected     uint64  `json:"rejected"`
-	Timeouts     uint64  `json:"timeouts"`
+	// Coalesced is how many of CacheHits waited on an identical in-flight
+	// miss instead of finding a finished answer.
+	Coalesced uint64 `json:"coalesced"`
+	Errors    uint64 `json:"errors"`
+	Rejected  uint64 `json:"rejected"`
+	Timeouts  uint64 `json:"timeouts"`
 
 	// QueueDepth and InFlight are scheduler gauges the caller samples at
 	// snapshot time (the collector only sees finished requests).
@@ -224,6 +241,7 @@ func (m *Serving) Snapshot(queueDepth, inFlight int) ServingSnapshot {
 		Queries:     m.queries,
 		CacheHits:   m.hits,
 		CacheMisses: m.misses,
+		Coalesced:   m.coalesced,
 		Errors:      m.errors,
 		Rejected:    m.rejected,
 		Timeouts:    m.timeouts,

@@ -1,10 +1,36 @@
 package metrics
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
 )
+
+// TestServingCoalesced: a coalesced answer is a cache hit that is also
+// counted as coalesced, in the snapshot and on /metrics alike.
+func TestServingCoalesced(t *testing.T) {
+	m := NewServing()
+	m.ObserveHit(time.Millisecond)
+	m.ObserveCoalesced(3 * time.Millisecond)
+	m.ObserveMiss(10 * time.Millisecond)
+
+	s := m.Snapshot(0, 0)
+	if s.Queries != 3 || s.CacheHits != 2 || s.Coalesced != 1 || s.CacheMisses != 1 {
+		t.Fatalf("queries/hits/coalesced/misses = %d/%d/%d/%d, want 3/2/1/1", s.Queries, s.CacheHits, s.Coalesced, s.CacheMisses)
+	}
+	var buf bytes.Buffer
+	if err := m.WritePrometheus(&buf, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseExposition(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples["grape_queries_coalesced_total"] != 1 || samples["grape_cache_hits_total"] != 2 {
+		t.Fatalf("coalesced/hits on /metrics = %g/%g, want 1/2\n%s", samples["grape_queries_coalesced_total"], samples["grape_cache_hits_total"], buf.String())
+	}
+}
 
 func TestServingCounts(t *testing.T) {
 	m := NewServing()

@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"container/heap"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,60 @@ func TestDenseUnionFindGrow(t *testing.T) {
 	u.Union(4, 0)
 	if u.Find(4) != u.Find(1) {
 		t.Fatal("union across grown boundary broken")
+	}
+}
+
+// refHeap is idxHeap's entries behind container/heap: the reference order
+// the typed push/pop must reproduce.
+type refHeap struct{ h idxHeap }
+
+func (r *refHeap) Len() int           { return len(r.h.idx) }
+func (r *refHeap) Less(i, j int) bool { return r.h.dist[i] < r.h.dist[j] }
+func (r *refHeap) Swap(i, j int)      { r.h.swap(i, j) }
+func (r *refHeap) Push(x any) {
+	e := x.([2]float64)
+	r.h.idx = append(r.h.idx, int32(e[0]))
+	r.h.dist = append(r.h.dist, e[1])
+}
+func (r *refHeap) Pop() any {
+	n := len(r.h.idx) - 1
+	e := [2]float64{float64(r.h.idx[n]), r.h.dist[n]}
+	r.h.idx, r.h.dist = r.h.idx[:n], r.h.dist[:n]
+	return e
+}
+
+// TestIdxHeapMatchesContainerHeap replays random push/pop interleavings,
+// with many tied distances, through the typed heap and container/heap: the
+// pop sequences must be identical, ties included, because pop order decides
+// RelaxIdx's work count.
+func TestIdxHeapMatchesContainerHeap(t *testing.T) {
+	f := func(ops []uint8) bool {
+		var typed idxHeap
+		ref := &refHeap{}
+		for k, op := range ops {
+			if op%3 == 0 && len(typed.idx) > 0 {
+				i, d := typed.pop()
+				e := heap.Pop(ref).([2]float64)
+				if i != int32(e[0]) || d != e[1] {
+					return false
+				}
+				continue
+			}
+			d := float64(op % 7) // few distinct distances: ties everywhere
+			typed.push(int32(k), d)
+			heap.Push(ref, [2]float64{float64(k), d})
+		}
+		for len(typed.idx) > 0 {
+			i, d := typed.pop()
+			e := heap.Pop(ref).([2]float64)
+			if i != int32(e[0]) || d != e[1] {
+				return false
+			}
+		}
+		return ref.Len() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -100,41 +100,62 @@ func RelaxEdges(g *graph.Graph, edges func(graph.ID) []graph.Edge, seeds []graph
 }
 
 // idxHeap is distHeap over dense vertex indices, used by the frozen-graph
-// fast path. Ordering depends only on the distances, so it pops in exactly
-// the same sequence as the ID-keyed heap and the two paths spend identical
-// work.
+// fast path. Its typed push/pop run the same sift-up and sift-down as
+// container/heap, and ordering depends only on the distances, so it pops in
+// exactly the same sequence as the ID-keyed heap and the two paths spend
+// identical work — without boxing every entry into an interface.
 type idxHeap struct {
 	idx  []int32
 	dist []float64
 }
 
-func (h *idxHeap) Len() int           { return len(h.idx) }
-func (h *idxHeap) Less(i, j int) bool { return h.dist[i] < h.dist[j] }
-func (h *idxHeap) Swap(i, j int) {
+func (h *idxHeap) swap(i, j int) {
 	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
 	h.dist[i], h.dist[j] = h.dist[j], h.dist[i]
 }
-func (h *idxHeap) Push(x any) {
-	e := x.(idxEntry)
-	h.idx = append(h.idx, e.i)
-	h.dist = append(h.dist, e.d)
-}
-func (h *idxHeap) Pop() any {
-	n := len(h.idx) - 1
-	e := idxEntry{h.idx[n], h.dist[n]}
-	h.idx = h.idx[:n]
-	h.dist = h.dist[:n]
-	return e
+
+// push adds (i, d) and sifts it up, as heap.Push does.
+func (h *idxHeap) push(i int32, d float64) {
+	h.idx = append(h.idx, i)
+	h.dist = append(h.dist, d)
+	for j := len(h.idx) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !(h.dist[j] < h.dist[p]) {
+			break
+		}
+		h.swap(p, j)
+		j = p
+	}
 }
 
-type idxEntry struct {
-	i int32
-	d float64
+// pop removes and returns the minimum, as heap.Pop does: swap the root to
+// the end, sift the new root down over the rest, then truncate.
+func (h *idxHeap) pop() (int32, float64) {
+	n := len(h.idx) - 1
+	h.swap(0, n)
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.dist[j2] < h.dist[j] {
+			j = j2
+		}
+		if !(h.dist[j] < h.dist[i]) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	i, d := h.idx[n], h.dist[n]
+	h.idx, h.dist = h.idx[:n], h.dist[:n]
+	return i, d
 }
 
 // idxHeapPool recycles relaxation heaps across RelaxIdx calls: the engine
-// invokes one relaxation per worker per superstep, and the heap's backing
-// arrays are the only allocation on that path.
+// invokes one relaxation per worker per superstep. Entries are stored
+// unboxed, so once a pooled heap's backing arrays have grown, relaxing
+// allocates nothing for its heap.
 var idxHeapPool = sync.Pool{New: func() any { return &idxHeap{} }}
 
 // RelaxIdx is Relax over a frozen graph's CSR form: seeds, reads and writes
@@ -151,27 +172,27 @@ func RelaxIdx(g *graph.Graph, rev bool, seeds []int32, get func(int32) float64, 
 		idxHeapPool.Put(h)
 	}()
 	for _, s := range seeds {
-		heap.Push(h, idxEntry{s, get(s)})
+		h.push(s, get(s))
 		work++
 	}
-	for h.Len() > 0 {
-		e := heap.Pop(h).(idxEntry)
+	for len(h.idx) > 0 {
+		i, d := h.pop()
 		work++
-		if e.d > get(e.i) { // stale entry
+		if d > get(i) { // stale entry
 			continue
 		}
 		var edges []graph.DenseEdge
 		if rev {
-			edges = g.InAt(e.i)
+			edges = g.InAt(i)
 		} else {
-			edges = g.OutAt(e.i)
+			edges = g.OutAt(i)
 		}
 		for _, edge := range edges {
 			work++
-			nd := e.d + edge.W
+			nd := d + edge.W
 			if nd < get(edge.To) {
 				set(edge.To, nd)
-				heap.Push(h, idxEntry{edge.To, nd})
+				h.push(edge.To, nd)
 				work++
 			}
 		}

@@ -40,7 +40,8 @@ type RunStats struct {
 // QueryResponse is a served answer. Result is the program's result value
 // (JSON-marshaled on the wire; program-specific shape — e.g. sssp returns a
 // vertex→distance object). Cached reports whether it came from the result
-// cache; Epoch is the graph epoch it is valid for.
+// cache — or from an identical query's run this request waited on rather
+// than ran itself; Epoch is the graph epoch it is valid for.
 type QueryResponse struct {
 	Graph     string   `json:"graph"`
 	Epoch     uint64   `json:"epoch"`
@@ -51,7 +52,8 @@ type QueryResponse struct {
 	Stats     RunStats `json:"stats"`
 	// TraceID names the flight-recorder trace of the engine run that
 	// computed this answer — fetch it via GET /debug/runs/{id}. Empty for
-	// cache hits (no run happened) and when retention already evicted it.
+	// cached answers (this request ran nothing); the trace may also have
+	// been evicted from retention already.
 	TraceID string `json:"trace_id,omitempty"`
 
 	// resultJSON, when set, is Result's memoized encoding (cache hits reuse
@@ -59,28 +61,51 @@ type QueryResponse struct {
 	resultJSON []byte
 }
 
-// MarshalJSON writes the wire shape, splicing in the memoized result
-// encoding when the cache already holds one.
+// MarshalJSON writes the wire shape, assembled from parts that are already
+// JSON: json.Marshal of the small header fields, then the result (the
+// cache's memoized encoding when there is one), stats and trace_id. The
+// result's bytes — possibly megabytes — are copied once, not re-scanned by a
+// compaction pass. The output is byte-identical to json.Marshal over the
+// same fields in this order, HTML escaping included, and leaves room for the
+// newline the /query handler appends.
 func (r QueryResponse) MarshalJSON() ([]byte, error) {
-	raw := json.RawMessage(r.resultJSON)
-	if raw == nil {
+	result := r.resultJSON
+	if result == nil {
 		var err error
-		if raw, err = json.Marshal(r.Result); err != nil {
+		if result, err = json.Marshal(r.Result); err != nil {
 			return nil, err
 		}
 	}
-	// alias with identical tags; Result pre-encoded
-	type wire struct {
-		Graph     string          `json:"graph"`
-		Epoch     uint64          `json:"epoch"`
-		Program   string          `json:"program"`
-		Canonical string          `json:"canonical"`
-		Cached    bool            `json:"cached"`
-		Result    json.RawMessage `json:"result"`
-		Stats     RunStats        `json:"stats"`
-		TraceID   string          `json:"trace_id,omitempty"`
+	head, err := json.Marshal(struct {
+		Graph     string `json:"graph"`
+		Epoch     uint64 `json:"epoch"`
+		Program   string `json:"program"`
+		Canonical string `json:"canonical"`
+		Cached    bool   `json:"cached"`
+	}{r.Graph, r.Epoch, r.Program, r.Canonical, r.Cached})
+	if err != nil {
+		return nil, err
 	}
-	return json.Marshal(wire{r.Graph, r.Epoch, r.Program, r.Canonical, r.Cached, raw, r.Stats, r.TraceID})
+	stats, err := json.Marshal(r.Stats)
+	if err != nil {
+		return nil, err
+	}
+	// 48 covers the three keys, the trace id's quotes, '}' and the newline.
+	b := make([]byte, 0, len(head)+len(result)+len(stats)+len(r.TraceID)+48)
+	b = append(b, head[:len(head)-1]...) // reopen the header object
+	b = append(b, `,"result":`...)
+	b = append(b, result...)
+	b = append(b, `,"stats":`...)
+	b = append(b, stats...)
+	if r.TraceID != "" {
+		id, err := json.Marshal(r.TraceID)
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, `,"trace_id":`...)
+		b = append(b, id...)
+	}
+	return append(b, '}'), nil
 }
 
 // FlightIndex is the GET /debug/runs answer: the flight recorder's retained

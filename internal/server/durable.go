@@ -60,9 +60,7 @@ func (s *Server) RecoverAll(ctx context.Context) ([]RecoveryInfo, error) {
 			}
 			return infos, fmt.Errorf("server: recovering %q: %w", name, err)
 		}
-		rg.mu.RLock()
-		epoch := rg.epoch
-		rg.mu.RUnlock()
+		epoch := rg.epoch.Load()
 		st := rg.ds.Stats()
 		info := RecoveryInfo{
 			Graph:         name,
@@ -101,7 +99,7 @@ func (s *Server) recoverGraph(ctx context.Context, name string) (*residentGraph,
 	s.mu.Lock()
 	rg := s.newResident(name, rec.Graph)
 	s.mu.Unlock()
-	rg.epoch = rec.SnapshotEpoch
+	rg.epoch.Store(rec.SnapshotEpoch)
 	rg.ds = gs
 	if rec.Damage != nil {
 		rg.damage = rec.Damage.Reason
@@ -114,10 +112,10 @@ func (s *Server) recoverGraph(ctx context.Context, name string) (*residentGraph,
 	// anyway because applyBatchLocked requires it.
 	rg.mu.Lock()
 	for i, r := range rec.Records {
-		if rg.epoch != r.PreEpoch {
+		if rg.epoch.Load() != r.PreEpoch {
 			rg.mu.Unlock()
 			gs.Close()
-			return nil, fmt.Errorf("replaying record %d: journaled against epoch %d but replay reached %d — refusing divergent recovery", i, r.PreEpoch, rg.epoch)
+			return nil, fmt.Errorf("replaying record %d: journaled against epoch %d but replay reached %d — refusing divergent recovery", i, r.PreEpoch, rg.epoch.Load())
 		}
 		e, err := engine.Lookup(r.Program)
 		if err != nil {
@@ -220,13 +218,14 @@ func (s *Server) maybeCompact(rg *residentGraph) {
 	}
 	rg.mu.RLock()
 	defer rg.mu.RUnlock()
-	if rg.epoch <= st.SnapshotEpoch {
+	epoch := rg.epoch.Load()
+	if epoch <= st.SnapshotEpoch {
 		// Journal grew without the epoch moving (rejected batches only):
 		// nothing new to snapshot, and the journal replays to a no-op.
 		return
 	}
 	start := time.Now()
-	if err := rg.ds.Compact(rg.g, rg.epoch); err != nil {
+	if err := rg.ds.Compact(rg.g, epoch); err != nil {
 		if lg := s.cfg.Logger; lg != nil {
 			lg.Warn("compaction failed", "graph", rg.name, "err", err.Error())
 		}
@@ -235,7 +234,7 @@ func (s *Server) maybeCompact(rg *residentGraph) {
 	rg.compactions.Add(1)
 	s.publishDurability(rg)
 	if lg := s.cfg.Logger; lg != nil {
-		lg.Info("journal compacted", "graph", rg.name, "epoch", rg.epoch,
+		lg.Info("journal compacted", "graph", rg.name, "epoch", epoch,
 			"records", st.JournalRecords, "bytes", st.JournalBytes,
 			"ms", time.Since(start).Seconds()*1e3)
 	}

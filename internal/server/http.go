@@ -40,7 +40,15 @@ func (s *Server) Handler() http.Handler {
 			writeErr(w, statusOf(err), err)
 			return
 		}
-		writeJSON(w, resp)
+		// The answer encodes itself from pre-encoded parts; going through
+		// json.Encoder would re-scan the result bytes to compact them.
+		body, err := resp.MarshalJSON()
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, fmt.Errorf("server: encoding the answer: %w", err))
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(append(body, '\n')) // a failed write means the client is gone
 	})
 	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
 		var req MutateRequest

@@ -77,7 +77,7 @@ func TestStatsEndpointShape(t *testing.T) {
 	// The omitempty fields (histogram, runs_by_class, worker_imbalance) are
 	// present because the query above ran the engine.
 	want := []string{
-		"cache_hit_rate", "cache_hits", "cache_misses", "errors", "histogram",
+		"cache_hit_rate", "cache_hits", "cache_misses", "coalesced", "errors", "histogram",
 		"in_flight", "latency_max_ms", "latency_mean_ms", "latency_p50_ms",
 		"latency_p90_ms", "latency_p99_ms", "queries", "queue_depth",
 		"recoveries", "rejected", "runs_by_class", "timeouts",

@@ -148,11 +148,12 @@ func (c Config) withDefaults() Config {
 // other graphs then wait on. Per-graph fairness would need per-graph pools;
 // out of scope here.
 type Server struct {
-	cfg     Config
-	sched   *scheduler
-	cache   *resultCache
-	serving *metrics.Serving
-	flight  *trace.Flight
+	cfg      Config
+	sched    *scheduler
+	cache    *resultCache
+	inflight inflight // coalesces identical cache misses
+	serving  *metrics.Serving
+	flight   *trace.Flight
 
 	mu     sync.Mutex
 	graphs map[string]*residentGraph
@@ -175,16 +176,21 @@ type graphLoad struct {
 }
 
 // residentGraph is one named graph plus everything derived from it. mu is
-// the load/mutate boundary: queries hold it for read during their whole run
-// (layout build included), mutations hold it for write — so a mutation never
-// interleaves with a run, and fragments stay safe to share.
+// the load/mutate boundary: cache misses hold it for read from their cache
+// re-check through the end of their engine run (layout build included),
+// mutations hold it for write — so a mutation never interleaves with a run,
+// and fragments stay safe to share. Cache hits take no lock at all: they
+// read epoch atomically.
 type residentGraph struct {
 	name string
 	gen  uint64 // unique per graph instance, fixed at creation
 	g    *graph.Graph
 
-	mu    sync.RWMutex
-	epoch uint64
+	mu sync.RWMutex
+	// epoch changes only with mu held for write (a landed mutation batch,
+	// journal replay) or before the graph is published, so it is stable
+	// for holders of mu; the cache fast path loads it without mu.
+	epoch atomic.Uint64
 
 	lmu     sync.Mutex
 	layouts map[layoutKey]*layoutSlot
@@ -254,7 +260,9 @@ func New(cfg Config) *Server {
 // s.mu (the generation counter is guarded by it).
 func (s *Server) newResident(name string, g *graph.Graph) *residentGraph {
 	s.gen++
-	return &residentGraph{name: name, gen: s.gen, g: g, epoch: 1, layouts: make(map[layoutKey]*layoutSlot)}
+	rg := &residentGraph{name: name, gen: s.gen, g: g, layouts: make(map[layoutKey]*layoutSlot)}
+	rg.epoch.Store(1)
+	return rg
 }
 
 // AddGraph makes g resident under name, replacing any previous graph with
@@ -318,7 +326,7 @@ func (s *Server) Graphs() []GraphInfo {
 			Vertices: rg.g.NumVertices(),
 			Edges:    rg.g.NumEdges(),
 			Directed: rg.g.Directed(),
-			Epoch:    rg.epoch,
+			Epoch:    rg.epoch.Load(),
 		})
 		rg.mu.RUnlock()
 	}
@@ -456,7 +464,7 @@ func (s *Server) layoutFor(rg *residentGraph, key layoutKey, strat partition.Str
 	rg.lmu.Unlock()
 	slot.once.Do(func() {
 		if rg.ds != nil {
-			if asg, _ := rg.ds.LoadLayout(rg.g, rg.epoch, key.strategy, key.workers, key.hops); asg != nil {
+			if asg, _ := rg.ds.LoadLayout(rg.g, rg.epoch.Load(), key.strategy, key.workers, key.hops); asg != nil {
 				// Rebuild fragments from the persisted cut — the same
 				// post-partition step BuildLayout runs, so the layout is
 				// identical to recomputing.
@@ -474,7 +482,7 @@ func (s *Server) layoutFor(rg *residentGraph, key layoutKey, strat partition.Str
 			ExpandHops: key.hops,
 		})
 		if slot.err == nil && rg.ds != nil {
-			if err := rg.ds.SaveLayout(slot.layout.Asg, rg.epoch, key.strategy, key.workers, key.hops); err != nil && s.cfg.Logger != nil {
+			if err := rg.ds.SaveLayout(slot.layout.Asg, rg.epoch.Load(), key.strategy, key.workers, key.hops); err != nil && s.cfg.Logger != nil {
 				s.cfg.Logger.Warn("layout cache write failed", "graph", rg.name, "err", err.Error())
 			}
 		}
@@ -500,19 +508,22 @@ func (slot *layoutSlot) runnerFor(e engine.Entry, cfg Config) (engine.ResidentRu
 	return r, nil
 }
 
-// Query answers one request: parse, try the cache, pass admission, run on
-// the resident layout, cache and return. The request's context threads all
-// the way down — queue wait (scheduler admission), then the engine fixpoint
-// itself — and is bounded by Config.QueryTimeout (or a sooner ctx deadline
-// or client disconnect): an abandoned run is cancelled at its next
+// Query answers one request: parse, try the cache, join an identical query
+// already in flight, pass admission, run on the resident layout, cache and
+// return. The request's context threads all the way down — the wait on an
+// identical query, queue wait (scheduler admission), then the engine
+// fixpoint itself — and is bounded by Config.QueryTimeout (or a sooner ctx
+// deadline or client disconnect): an abandoned run is cancelled at its next
 // superstep barrier and its workers freed, unless Config.DetachRuns opts
 // back into run-to-completion-and-cache.
 func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	start := time.Now()
-	resp, cached, err := s.query(ctx, req, start)
+	resp, how, err := s.query(ctx, req, start)
 	d := time.Since(start)
 	switch {
-	case err == nil && cached:
+	case err == nil && how == servedCoalesced:
+		s.serving.ObserveCoalesced(d)
+	case err == nil && how == servedFromCache:
 		s.serving.ObserveHit(d)
 	case err == nil:
 		s.serving.ObserveMiss(d)
@@ -528,7 +539,9 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 		switch {
 		case err != nil:
 			lg.Warn("query failed", append(attrs, "err", err.Error())...)
-		case cached:
+		case how == servedCoalesced:
+			lg.Info("query served", append(attrs, "cached", true, "coalesced", true)...)
+		case how == servedFromCache:
 			lg.Info("query served", append(attrs, "cached", true)...)
 		default:
 			lg.Info("query served", append(attrs, "cached", false, "run", resp.TraceID, "supersteps", resp.Stats.Supersteps)...)
@@ -537,24 +550,33 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	return resp, err
 }
 
-func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (*QueryResponse, bool, error) {
+// served says where an answer came from.
+type served int
+
+const (
+	servedByRun     served = iota // an engine run this request admitted
+	servedFromCache               // the result cache
+	servedCoalesced               // an identical query's run this request waited on
+)
+
+func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (*QueryResponse, served, error) {
 	e, err := engine.Lookup(req.Program)
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrNotFound, err)
+		return nil, servedByRun, fmt.Errorf("%w: %v", ErrNotFound, err)
 	}
 	if e.Parse == nil {
-		return nil, false, fmt.Errorf("%w: program %q cannot be served (no parser)", ErrNotFound, req.Program)
+		return nil, servedByRun, fmt.Errorf("%w: program %q cannot be served (no parser)", ErrNotFound, req.Program)
 	}
 	pq, err := e.Parse(req.Query)
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		return nil, servedByRun, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	workers := req.Workers
 	if workers <= 0 {
 		workers = s.cfg.Workers
 	}
 	if workers > s.cfg.MaxWorkers {
-		return nil, false, fmt.Errorf("%w: workers=%d exceeds the server's cap of %d", ErrBadQuery, workers, s.cfg.MaxWorkers)
+		return nil, servedByRun, fmt.Errorf("%w: workers=%d exceeds the server's cap of %d", ErrBadQuery, workers, s.cfg.MaxWorkers)
 	}
 	stratName := req.Strategy
 	if stratName == "" {
@@ -562,50 +584,77 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 	}
 	strat, err := partition.ByName(stratName)
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		return nil, servedByRun, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	rg, err := s.resident(ctx, req.Graph)
 	if err != nil {
-		return nil, false, err
+		return nil, servedByRun, err
 	}
 
 	key := cacheKey{graph: req.Graph, gen: rg.gen, program: req.Program, canonical: pq.Canonical, strategy: stratName, workers: workers}
-	resp := func(epoch uint64, cached bool, result any, st RunStats) *QueryResponse {
-		return &QueryResponse{Graph: req.Graph, Epoch: epoch, Program: req.Program,
-			Canonical: pq.Canonical, Cached: cached, Result: result, Stats: st}
-	}
-	hit := func(epoch uint64, v *cacheVal) *QueryResponse {
-		r := resp(epoch, true, v.result, v.stats)
-		if enc, err := v.encodedResult(); err == nil {
-			r.resultJSON = enc
+	answer := func(epoch uint64, cached bool, v *cacheVal) *QueryResponse {
+		r := &QueryResponse{Graph: req.Graph, Epoch: epoch, Program: req.Program,
+			Canonical: pq.Canonical, Cached: cached, Result: v.result, Stats: v.stats}
+		if s.cache != nil { // v is cached: every answer it serves shares one encoding
+			if enc, err := v.encodedResult(); err == nil {
+				r.resultJSON = enc
+			}
 		}
 		return r
 	}
+	gaveUp := func() error {
+		return fmt.Errorf("server: query %s/%s gave up after %v: %w", req.Program, pq.Canonical, time.Since(start).Round(time.Millisecond), ctx.Err())
+	}
 
-	// Fast path: answer from the cache at the current epoch without
-	// consuming a run slot.
+	// Fast path: answer from the cache at the current epoch, taking neither
+	// the graph lock nor a run slot. Loading the epoch is this read's
+	// linearization point: a hit at epoch N while a mutation waits for the
+	// graph lock is a read ordered before that mutation.
 	if !req.NoCache {
-		rg.mu.RLock()
-		key.epoch = rg.epoch
-		rg.mu.RUnlock()
+		key.epoch = rg.epoch.Load()
 		if v, ok := s.cache.get(key); ok {
 			s.flight.Event("cache-hit", req.Program+" "+pq.Canonical)
-			return hit(key.epoch, v), true, nil
+			return answer(key.epoch, true, v), servedFromCache, nil
 		}
 	}
 
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.QueryTimeout)
 	defer cancel()
+
+	// Coalesce identical misses (see inflight): lead a flight for this key,
+	// or follow the one already up. Only requests that may be answered from
+	// the cache take part, so a NoCache request — or any request on a
+	// cache-disabled server — always runs.
+	var lead *flight
+	if !req.NoCache && s.cache != nil {
+		f, leader := s.inflight.join(key)
+		if leader {
+			lead = f
+		} else {
+			select {
+			case <-f.done:
+				if f.val != nil {
+					s.flight.Event("coalesced", req.Program+" "+pq.Canonical)
+					return answer(f.epoch, true, f.val), servedCoalesced, nil
+				}
+				// the leader produced no answer: take the normal path
+			case <-ctx.Done():
+				return nil, servedByRun, gaveUp()
+			}
+		}
+	}
 	if err := s.sched.acquire(ctx); err != nil {
-		return nil, false, err
+		s.inflight.land(lead, 0, nil)
+		return nil, servedByRun, err
 	}
 
-	// The run holds rg.mu for read end to end: a mutation can bump the
-	// epoch before or after this block, never during it, so the result is
-	// cached under exactly the epoch it was computed against. The run
-	// inherits the request context (unless DetachRuns), so a request that
-	// times out or disconnects takes its engine run down with it at the
-	// next superstep barrier; only completed runs reach the cache.
+	// The run holds rg.mu for read from its cache re-check to the end of the
+	// engine run: a mutation can bump the epoch before or after this block,
+	// never during it, so the result is cached under exactly the epoch it
+	// was computed against. The run inherits the request context (unless
+	// DetachRuns), so a request that times out or disconnects takes its
+	// engine run down with it at the next superstep barrier; only completed
+	// runs reach the cache.
 	runCtx := ctx
 	if s.cfg.DetachRuns {
 		runCtx = context.WithoutCancel(ctx)
@@ -620,72 +669,74 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 		runCtx = trace.WithLogger(runCtx, s.cfg.Logger)
 	}
 	type outcome struct {
-		epoch      uint64
-		cached     bool
-		result     any
-		resultJSON []byte
-		stats      RunStats
-		traceID    string
-		err        error
+		epoch   uint64
+		cached  bool
+		val     *cacheVal
+		traceID string
+		err     error
 	}
-	done := make(chan outcome, 1)
-	go func() {
+	run := func(key cacheKey) outcome {
 		defer s.sched.release()
 		rg.mu.RLock()
 		defer rg.mu.RUnlock()
-		key.epoch = rg.epoch
+		key.epoch = rg.epoch.Load()
 		// Re-check under the run epoch: an identical query may have landed
 		// while we were queued.
 		if !req.NoCache {
 			if v, ok := s.cache.get(key); ok {
 				s.flight.Event("cache-hit", req.Program+" "+pq.Canonical)
 				rec.Release() // no run happened; recycle the unused recorder
-				o := outcome{epoch: key.epoch, cached: true, result: v.result, stats: v.stats}
-				if enc, err := v.encodedResult(); err == nil {
-					o.resultJSON = enc
-				}
-				done <- o
-				return
+				return outcome{epoch: key.epoch, cached: true, val: v}
 			}
 		}
 		slot, err := s.layoutFor(rg, layoutKey{strategy: stratName, workers: workers, hops: pq.Hops}, strat)
 		if err != nil {
 			rec.Release()
-			done <- outcome{err: err}
-			return
+			return outcome{err: err}
 		}
 		runner, err := slot.runnerFor(e, s.cfg)
 		if err != nil {
 			rec.Release()
-			done <- outcome{err: err}
-			return
+			return outcome{err: err}
 		}
 		res, st, err := runner.RunParsed(runCtx, pq)
 		if err != nil {
 			rec.Event("error", err.Error())
 			s.flight.Add(rec)
-			done <- outcome{err: err}
-			return
+			return outcome{err: err}
 		}
 		traceID := rec.ID()
 		s.flight.Add(rec)
 		s.serving.ObserveRun(req.Program, st)
-		rs := RunStats{Supersteps: st.Supersteps, Messages: st.Messages, Bytes: st.Bytes, WallMs: st.WallTime.Seconds() * 1e3}
-		s.cache.put(key, &cacheVal{result: res, stats: rs})
-		done <- outcome{epoch: key.epoch, result: res, stats: rs, traceID: traceID}
+		v := &cacheVal{result: res, stats: RunStats{Supersteps: st.Supersteps, Messages: st.Messages, Bytes: st.Bytes, WallMs: st.WallTime.Seconds() * 1e3}}
+		s.cache.put(key, v)
+		return outcome{epoch: key.epoch, val: v, traceID: traceID}
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		out := run(key)
+		if out.val != nil && s.cache != nil {
+			// Encode once, with the graph lock and the run slot already
+			// released: writers and queued runs do not wait on it.
+			out.val.encodedResult()
+		}
+		s.inflight.land(lead, out.epoch, out.val)
+		done <- out
 	}()
 
 	select {
 	case out := <-done:
 		if out.err != nil {
-			return nil, false, out.err
+			return nil, servedByRun, out.err
 		}
-		r := resp(out.epoch, out.cached, out.result, out.stats)
-		r.resultJSON = out.resultJSON
+		r := answer(out.epoch, out.cached, out.val)
 		r.TraceID = out.traceID
-		return r, out.cached, nil
+		if out.cached {
+			return r, servedFromCache, nil
+		}
+		return r, servedByRun, nil
 	case <-ctx.Done():
-		return nil, false, fmt.Errorf("server: query %s/%s gave up after %v: %w", req.Program, pq.Canonical, time.Since(start).Round(time.Millisecond), ctx.Err())
+		return nil, servedByRun, gaveUp()
 	}
 }
 
@@ -737,7 +788,7 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 		// mutates, so a crash at any later point replays it on restart. Once
 		// the record is durable the batch runs to completion even if the
 		// client hangs up — journal and memory must not diverge.
-		rec := store.Record{PreEpoch: rg.epoch, Program: program, Query: pq.Canonical, Updates: ups}
+		rec := store.Record{PreEpoch: rg.epoch.Load(), Program: program, Query: pq.Canonical, Updates: ups}
 		if err := rg.ds.Append(rec); err != nil {
 			return nil, fmt.Errorf("server: journaling mutation for %q: %w", name, err)
 		}
@@ -760,14 +811,14 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 	}
 	s.serving.ObserveRun(program, st)
 	if lg := s.cfg.Logger; lg != nil {
-		lg.Info("mutation applied", "graph", name, "program", program, "edges", len(ups), "epoch", rg.epoch, "supersteps", st.Supersteps)
+		lg.Info("mutation applied", "graph", name, "program", program, "edges", len(ups), "epoch", rg.epoch.Load(), "supersteps", st.Supersteps)
 	}
 	rs := RunStats{Supersteps: st.Supersteps, Messages: st.Messages, Bytes: st.Bytes, WallMs: st.WallTime.Seconds() * 1e3}
 	// Prime the session's fresh answer under the new epoch. The key carries
 	// this instance's generation, so if AddGraph replaced the name while we
 	// mutated the detached instance, the new graph cannot hit this entry.
 	s.primeSessionResult(rg, program, pq.Canonical, res, rs)
-	return &MutateResponse{Graph: name, Epoch: rg.epoch, Program: program, Canonical: pq.Canonical, Stats: rs}, nil
+	return &MutateResponse{Graph: name, Epoch: rg.epoch.Load(), Program: program, Canonical: pq.Canonical, Stats: rs}, nil
 }
 
 // ensureSessionLocked readies the retained update session for (program,
@@ -817,7 +868,7 @@ func (s *Server) applyBatchLocked(ctx context.Context, rg *residentGraph, e engi
 	// unconditionally, and drop a broken session — its retained partial
 	// results are not trustworthy; the next batch starts a fresh session
 	// over the mutated base graph.
-	rg.epoch++
+	rg.epoch.Add(1)
 	rg.lmu.Lock()
 	rg.layouts = make(map[layoutKey]*layoutSlot)
 	rg.lmu.Unlock()
@@ -833,6 +884,6 @@ func (s *Server) applyBatchLocked(ctx context.Context, rg *residentGraph, e engi
 // epoch and the default (strategy, workers) — the key a subsequent identical
 // query computes.
 func (s *Server) primeSessionResult(rg *residentGraph, program, canonical string, res any, rs RunStats) {
-	s.cache.put(cacheKey{graph: rg.name, gen: rg.gen, epoch: rg.epoch, program: program, canonical: canonical,
+	s.cache.put(cacheKey{graph: rg.name, gen: rg.gen, epoch: rg.epoch.Load(), program: program, canonical: canonical,
 		strategy: s.cfg.Strategy, workers: s.cfg.Workers}, &cacheVal{result: res, stats: rs})
 }
